@@ -24,7 +24,6 @@ def main():
     p = args.prime
     chi = DirichletCharacter.trivial(1, p) if args.chi == "trivial" else quadratic_char(3, p)
     prec = args.rmax + 6
-    cache = {}
     rs = list(range(args.rmin, args.rmax + 1))
     print(f"p = {p}, chi = {args.chi}; agreement valuation of lhs - rhs (threshold r-1)")
     header = "  j  n | " + "  ".join(f"r={r}" for r in rs)
@@ -35,7 +34,7 @@ def main():
         for n in range(1, args.nmax + 1):
             vals = []
             for r in rs:
-                rep = interp_check(chi, j, n, r, prec=prec, _mu_cache=cache)
+                rep = interp_check(chi, j, n, r, prec=prec)
                 vals.append(rep.agreement_valuation)
                 all_ok &= rep.passed
             cells = "  ".join(f"{v if v != float('inf') else '>=':>3}" for v in vals)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import coleman, exactq, group_algebra, lambda_modules, measures
 from .characters import DirichletCharacter, quadratic_char
 from .iwaseries import TruncatedSeries
-from .padic import PadicNumber, decompose_unit, pexp, plog, teichmuller, vp_diff
+from .padic import PadicNumber, _check_odd_prime, decompose_unit, pexp, plog, teichmuller, vp_diff
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class RunConfig:
     json_mode: bool = False
 
     def __post_init__(self):
-        if self.prime == 2 or self.prime < 3:
-            raise ValueError("prime must be odd")
+        _check_odd_prime(self.prime)
         if self.prec < 1 or self.trunc < 1:
             raise ValueError("prec and trunc must be >= 1")
 
@@ -72,7 +71,6 @@ def cmd_interp(cfg: RunConfig, chi_name: str, n_max: int, r_min: int, r_max: int
     p = cfg.prime
     chi = _chi_by_name(chi_name, p)
     prec = r_max + 6
-    cache: dict = {}
     checks = []
     ok = True
     ns = [single_n] if single_n is not None else list(range(1, n_max + 1))
@@ -80,7 +78,7 @@ def cmd_interp(cfg: RunConfig, chi_name: str, n_max: int, r_min: int, r_max: int
         for n in ns:
             vals = []
             for r in range(r_min, r_max + 1):
-                rep = group_algebra.interp_check(chi, j, n, r, prec=prec, _mu_cache=cache)
+                rep = group_algebra.interp_check(chi, j, n, r, prec=prec)
                 vals.append(rep.agreement_valuation)
                 ok &= rep.passed
                 checks.append(
@@ -271,6 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    A failing command (bad input, unreadable file) prints `error: ...` and
+    returns 2.  An invalid configuration such as `--prime 1` raises
+    ValueError to the caller; `entry` reports it the same way.
+    """
     args = build_parser().parse_args(argv)
     cfg = RunConfig(args.prime, args.prec, args.trunc, args.json)
     try:
@@ -291,10 +295,19 @@ def main(argv=None) -> int:
         if args.command == "selfcheck":
             return cmd_selfcheck(cfg)
         raise AssertionError(args.command)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def entry(argv=None) -> int:
+    """The `iwasawa` command: like `main`, and a bad configuration exits 2 too."""
+    try:
+        return main(argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .padic import int_vp
+from .padic import _check_odd_prime, int_vp
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -228,6 +228,7 @@ def kummer_congruence_check(m: int, n: int, p: int, k: int, c: int) -> KummerRep
 
 def irregular_indices(p: int) -> set[int]:
     """Even n with 2 <= n <= p-3 and p | zeta(1-n); empty iff p is regular."""
+    _check_odd_prime(p)
     out = set()
     for n in range(2, p - 2, 2):
         if vp(zeta_neg(n), p) >= 1:

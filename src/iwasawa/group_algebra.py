@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 
 from . import exactq
@@ -140,6 +142,22 @@ def mu_chi_level(chi: DirichletCharacter, r: int, prec: int = 20) -> GroupRingEl
     (the pseudo-measure case).  Rational-valued characters give exact
     Fraction coefficients.
     """
+    rational, sums = _mu_level_sums(chi, r, prec)
+    p, den = chi.prime, chi.modulus * chi.prime**r
+    coeffs: dict[int, object] = {}
+    for key, acc in sums:
+        val = Fraction(-acc, den)
+        coeffs[key] = val if rational else from_rational_abs(val, p, prec)
+    return GroupRingElement(p**r, coeffs)
+
+
+def _mu_level_sums(chi: DirichletCharacter, r: int, prec: int):
+    """The bucket loop behind mu_chi_level: (rational, [(b, A), ...]) with
+    mu_chi at level r equal to sum_b -A/(N p^r) sigma_b.
+
+    A is exact when chi is rational-valued, else known modulo p^(prec+r).
+    For nontrivial chi every A is divisible by p^r (checked).
+    """
     p = chi.prime
     N = chi.modulus
     if N % p == 0:
@@ -161,21 +179,17 @@ def mu_chi_level(chi: DirichletCharacter, r: int, prec: int = 20) -> GroupRingEl
     half = (p - 1) // 2
     zeta = teichmuller(least_primitive_root(p), p, prec + r).mantissa
     zpow = [pow(zeta, e, p ** (prec + r)) for e in range(p - 1)]
-    coeffs: dict[int, object] = {}
+    check = not chi.is_trivial()
+    sums = []
     for c, slot in buckets.items():
-        key = pow(c, -1, pr)
         if rational:
-            num = slot.get(0, 0) - slot.get(half, 0)
-            val = Fraction(-num, N * pr)
-            if not chi.is_trivial() and val != 0 and exactq.vp(val, p) < 0:
-                raise AssertionError("nontrivial character produced a non-integral coefficient")
+            acc = slot.get(0, 0) - slot.get(half, 0)
         else:
             acc = sum(zpow[e] * s for e, s in slot.items())
-            val = from_rational_abs(Fraction(-acc, N * pr), p, prec)
-            if not val.is_zero and val.valuation < 0:
-                raise AssertionError("nontrivial character produced a non-integral coefficient")
-        coeffs[key] = val
-    return GroupRingElement(pr, coeffs)
+        if check and acc % pr:
+            raise AssertionError("nontrivial character produced a non-integral coefficient")
+        sums.append((pow(c, -1, pr), acc))
+    return rational, sums
 
 
 def _exponent_range(chi: DirichletCharacter):
@@ -228,8 +242,11 @@ class PadicCharSpec:
 def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 20) -> PadicNumber:
     """sum_a coeff(a) * omega^i(a) * <a>^s for an element at level p^r.
 
-    The result of evaluating a level-r element is canonical modulo p^r; it
-    is computed here at the requested precision from integer lifts.
+    This is the reference path for arbitrary elements.  The value of a
+    level-r element is canonical only modulo p^r: here <a>^s is taken on the
+    integer lift a * omega(a)^(-1) mod p^K, while `interp_check` evaluates on
+    the gamma-power lift gamma^(ks) of <a> = gamma^k mod p^r.  Both are
+    reported to the requested precision and agree modulo p^r.
     """
     r = _p_power_level(x.modulus, p)
     norm, shift, window = _normalized_coeffs(x, p)
@@ -330,6 +347,72 @@ def _coeff_numerator(q: Fraction, extra_shift: int, p: int, pK: int) -> int:
     return q.numerator * pow(den, -1, pK) % pK
 
 
+# -- level tables: Z_p[(Z/p^r)^x] = Z_p[Delta][T]/(omega_(r-1)), gamma = 1+p ---
+
+
+@lru_cache(maxsize=16)
+def _level_index(p: int, r: int) -> list[int]:
+    """pos[a] = t * p^(r-1) + k where a = zeta^t gamma^k mod p^r, -1 off the units.
+
+    zeta is the Teichmuller lift of the least primitive root mod p, so t is
+    the Teichmuller index of a and k = dlog_gamma <a> mod p^(r-1).
+    """
+    pr, d = p**r, p ** (r - 1)
+    zeta = teichmuller(least_primitive_root(p), p, r).mantissa
+    pos = [-1] * pr
+    x = 1
+    for t in range(p - 1):
+        y = x
+        for k in range(d):
+            pos[y] = t * d + k
+            y = y * (1 + p) % pr
+        x = x * zeta % pr
+    return pos
+
+
+def _hmu_table(chi: DirichletCharacter, r: int, prec: int) -> list[list[int]]:
+    """h_N mu_chi at level r as rows c[t][k], integers mod p^(prec+r) over p^r.
+
+    Row t holds the coefficients of zeta^t gamma^k.  Cached by the whole
+    character (its exponent table), r and prec.
+    """
+    return _hmu_rows(chi.prime, chi.modulus, tuple(sorted(chi.exponents.items())), r, prec)
+
+
+@lru_cache(maxsize=16)
+def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> list[list[int]]:
+    """Built from the bucket sums of mu_chi_level; h_N = 1 - (1+Np)
+    sigma_(1+Np)^(-1) shifts the k axis by k0 = dlog_gamma(1+Np)."""
+    chi = DirichletCharacter(N, p, dict(exponents))
+    pK, d = p ** (prec + r), p ** (r - 1)
+    pos = _level_index(p, r)
+    flat = [0] * ((p - 1) * d)
+    scale = -pow(N, -1, pK)
+    for b, acc in _mu_level_sums(chi, r, prec)[1]:
+        flat[pos[b]] = acc * scale % pK
+    u = 1 + N * p
+    k0 = pos[u % p**r]
+    rows = []
+    for t in range(p - 1):
+        row = flat[t * d : (t + 1) * d]
+        rows.append([(x - u * y) % pK for x, y in zip(row, row[k0:] + row[:k0])])
+    return rows
+
+
+def _evaluate_rows(rows: list[list[int]], i: int, s: int, p: int, r: int, prec: int) -> PadicNumber:
+    """sum_t zeta^(it) C_t(gamma^s) for a level-r table, known modulo p^prec."""
+    pK = p ** (prec + r)
+    x = pow(1 + p, s, pK)
+    zeta_pow = _eval_tables(p, prec + r).zeta_pow
+    acc = 0
+    for t, row in enumerate(rows):
+        v = 0
+        for c in reversed(row):
+            v = (v * x + c) % pK
+        acc += zeta_pow[i * t % (p - 1)] * v
+    return from_rational_abs(Fraction(acc % pK, p**r), p, prec)
+
+
 # -- special values and checks ------------------------------------------------
 
 
@@ -392,6 +475,13 @@ def interp_check(
     psi = omega^j; rhs = h_N at the same character (closed form) times the
     Euler-corrected L(chi psi, 1-n).  Reports v_p(lhs - rhs); the congruence
     sharpens with r and the acceptance threshold is r - 1.
+
+    The lhs is canonical only modulo p^r.  It is computed on the gamma-power
+    lift, by Horner evaluation of a cached table of h_N mu_chi (see
+    `_hmu_table`); `evaluate_char` on h_element * mu_chi_level uses the
+    integer lift, is reported to the same absolute precision and agrees
+    with it modulo p^r.  `_mu_cache` is accepted and ignored: the table cache is
+    internal and keyed by the whole character.
     """
     p = chi.prime
     if n < 1:
@@ -402,17 +492,8 @@ def interp_check(
     if prec is None:
         prec = r + 6
     N = chi.modulus
-    key = (N, r, prec)
-    if _mu_cache is not None and key in _mu_cache:
-        mu = _mu_cache[key]
-    else:
-        mu = mu_chi_level(chi, r, prec)
-        if _mu_cache is not None:
-            _mu_cache[key] = mu
-    h = h_element(N, r, p)
-    hmu = h * mu
     spec = PadicCharSpec((1 - n - j) % (p - 1), 1 - n)
-    lhs = evaluate_char(hmu, spec, p, prec)
+    lhs = _evaluate_rows(_hmu_table(chi, r, prec), spec.teich_exponent, 1 - n, p, r, prec)
     hval = h_char_value(N, p, spec, prec)
     if hval.is_zero:
         raise ValueError("the regularizer h vanishes at this character (the p-adic zeta pole)")
@@ -505,81 +586,57 @@ def branch_limit_regularized(p: int, n: int, k: int, c: int) -> Fraction:
 
 def principal_unit_dlog(u: int, p: int, r: int) -> int:
     """j with (1+p)^j = u mod p^r, for u = 1 mod p; returned mod p^(r-1)."""
-    if r == 1:
-        return 0
-    R = r + 2
-    lg_u = _int_plog(u % p**r, p, R)
-    lg_g = _int_plog(1 + p, p, R)
-    mod = p ** (r - 1)
-    return (lg_u // p) * pow(lg_g // p, -1, mod) % mod
-
-
-def _int_plog(u: int, p: int, R: int) -> int:
-    """log(u) mod p^R for u = 1 mod p, as the integer residue."""
-    x = u - 1
-    if x % p**R == 0:
-        return 0
-    total = Fraction(0)
-    m = 1
-    while m - _ilogp(m, p) <= R:
-        total += Fraction((-1) ** (m + 1), m) * Fraction(x) ** m
-        m += 1
-    num, den = total.numerator, total.denominator
-    return num * pow(den, -1, p**R) % p**R
-
-
-def _ilogp(m: int, p: int) -> int:
-    v = 0
-    while p ** (v + 1) <= m:
-        v += 1
-    return v
+    k = _level_index(p, r)[u % p**r]
+    if not 0 <= k < p ** (r - 1):
+        raise ValueError(f"{u} is not a principal unit mod {p}^{r}")
+    return k
 
 
 def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> TruncatedSeries:
     """Image of e_(omega^i) x in Z_p[T]/(omega_(r-1)) with gamma = 1 + T.
 
-    Each sigma_a splits as (Teichmuller part, principal part); the principal
-    part contributes (1+T)^(dlog a), the torsion part a factor omega^i(a).
-    The result must have coefficients in Z_p at the working precision.
+    Each sigma_a splits as (Teichmuller part, principal part) = (zeta^t,
+    gamma^k); the torsion part contributes a factor omega^i(a) and the
+    principal part X^k.  The coefficients are bucketed by k into a
+    polynomial in X, which one Taylor shift X -> 1 + T turns into the
+    series.  The result must have coefficients in Z_p at the working
+    precision.
     """
     r = _p_power_level(x.modulus, p)
-    norm, shift, window = _normalized_coeffs(x, p)
+    norm, shift, _ = _normalized_coeffs(x, p)
     K = prec + shift
     pK = p**K
-    tables = _eval_tables(p, K)
+    zeta_pow = _eval_tables(p, K).zeta_pow
+    pos = _level_index(p, r)
     deg = p ** (r - 1)
     acc = [0] * deg
-    pascal_cache: dict[int, list[int]] = {}
     for a, (num_q, extra) in norm.items():
-        num = _coeff_numerator(num_q, extra, p, pK)
-        abar = a % p
-        w = tables.zeta_pow[(i * tables.ind[abar]) % (p - 1)]
-        u = a * tables.teich_inv[abar] % (p**r)
-        jdx = principal_unit_dlog(u, p, r)
-        row = pascal_cache.get(jdx)
-        if row is None:
-            row = _binomial_row(jdx, pK)
-            pascal_cache[jdx] = row
-        nw = num * w % pK
-        for mdeg, b in enumerate(row):
-            if b:
-                acc[mdeg] = (acc[mdeg] + nw * b) % pK
+        t, k = divmod(pos[a], deg)
+        acc[k] += _coeff_numerator(num_q, extra, p, pK) * zeta_pow[i * t % (p - 1)]
     coeffs = []
     pshift = p**shift
-    for v in acc:
+    for v in _taylor_shift(acc, pK):
         if v % pshift:
             raise ValueError("component has a non-integral coefficient at this precision")
         coeffs.append(v // pshift)
     return TruncatedSeries(p, coeffs, prec)
 
 
-def _binomial_row(j: int, mod: int) -> list[int]:
-    row = [1]
-    c = 1
-    for t in range(1, j + 1):
-        c = c * (j - t + 1) // t
-        row.append(c % mod)
-    return row
+def _taylor_shift(c: list[int], mod: int) -> list[int]:
+    """Coefficients of sum_k c_k (1+T)^k modulo mod, by the O(d^2) Ruffini scheme.
+
+    Pass k replaces c[k:] by its suffix sums: a synthetic division by X - 1
+    of what the earlier passes left, whose remainder c[k] is the T^k
+    coefficient.
+    """
+    c = [v % mod for v in c]
+    for k in range(len(c) - 1):
+        tail = list(accumulate(reversed(c[k:])))
+        tail.reverse()
+        c[k:] = tail
+        if k % 32 == 31:
+            c[k:] = [v % mod for v in c[k:]]
+    return [v % mod for v in c]
 
 
 def reassemble_components(comps: dict[int, TruncatedSeries], p: int, r: int, prec: int = 12) -> GroupRingElement:

@@ -106,3 +106,48 @@ def test_commands_are_deterministic(capsys):
 def test_bad_config_rejected(capsys):
     with pytest.raises(ValueError):
         main(["bernoulli", "--prime", "2"])
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for command in ("weierstrass", "growth"):
+        code, _, err = run(capsys, command, missing)
+        assert code == 2
+        assert err.startswith("error:") and "missing.txt" in err
+
+
+def test_bad_prime_exits_2(capsys):
+    from iwasawa.cli import entry
+
+    for argv in (["bernoulli", "--prime", "1"], ["bernoulli", "--prime", "9"], ["irregular", "-p", "9"],
+                 ["irregular", "-p", "1"]):
+        code = entry(argv)
+        out = capsys.readouterr()
+        assert code == 2, argv
+        assert out.err.startswith("error:") and "pass:" not in out.out, argv
+
+
+def test_command_line_reports_errors_without_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import iwasawa
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iwasawa.__file__)))
+    for argv in (["bernoulli", "--prime", "1"], ["weierstrass", str(tmp_path / "missing.txt")]):
+        proc = subprocess.run([sys.executable, "-m", "iwasawa.cli", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, argv
+
+
+def test_non_primes_rejected():
+    from iwasawa.cli import RunConfig
+    from iwasawa.exactq import irregular_indices
+
+    for q in (1, 2, 9, 15):
+        with pytest.raises(ValueError):
+            irregular_indices(q)
+        with pytest.raises(ValueError):
+            RunConfig(prime=q)
+    assert RunConfig(prime=7).prime == 7
