@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from . import measures
-from .iwaseries import TruncatedSeries
+from .iwaseries import TruncatedSeries, mul_trunc
 from .padic import PadicNumber, int_vp, padic_binomial
 
 
@@ -74,14 +74,7 @@ def _log_one_plus(u: TruncatedSeries) -> TruncatedSeries:
                     raise AssertionError("precision bug: term not divisible by its index")
                 acc[j] = (acc[j] + (-1) ** (m + 1) * (t // p**e) * minv) % modK
         m += 1
-        nxt = [0] * M
-        for i, x in enumerate(power):
-            if x:
-                for j in range(M - i):
-                    y = ucoef[j]
-                    if y:
-                        nxt[i + j] = (nxt[i + j] + x * y) % modK
-        power = nxt
+        power = mul_trunc(power, ucoef, modK, M)
     return TruncatedSeries(p, [c % p**N for c in acc], N)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .padic import _check_odd_prime, int_vp
@@ -91,15 +92,21 @@ def bernoulli(n: int, cache: BernoulliCache | None = None) -> Fraction:
     return (cache or _DEFAULT_CACHE).value(n)
 
 
+@lru_cache(maxsize=64)
+def _bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
+    # exact values, so a memoized row never goes stale
+    return tuple(Fraction(comb(n, n - j)) * bernoulli(n - j) for j in range(n + 1))
+
+
 def bernoulli_poly(n: int) -> list[Fraction]:
     """Coefficients of B_n(X) = sum_i C(n,i) B_i X^(n-i), low degree first."""
-    return [Fraction(comb(n, n - j)) * bernoulli(n - j) for j in range(n + 1)]
+    return list(_bernoulli_poly_coeffs(n))
 
 
 def bernoulli_poly_eval(n: int, x) -> Fraction:
     x = Fraction(x)
     acc = Fraction(0)
-    for c in reversed(bernoulli_poly(n)):
+    for c in reversed(_bernoulli_poly_coeffs(n)):
         acc = acc * x + c
     return acc
 

@@ -13,7 +13,8 @@ operation documents how much of the (T^M, p^N) window survives:
 
 Exact integer polynomials (for omega_r, Phi_r, resultants and the
 lambda-module layer) are plain low-to-high int lists handled by the helper
-functions at the bottom.
+functions at the bottom.  Every product of two series or integer
+polynomials, inversion included, goes through the one kernel `mul_trunc`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .padic import PadicNumber, int_vp
+from .padic import PadicNumber, _check_odd_prime, int_vp
 
 
 class IndeterminateWithinTruncation(ValueError):
@@ -32,6 +33,7 @@ class TruncatedSeries:
     __slots__ = ("prime", "prec", "coeffs", "polynomial")
 
     def __init__(self, prime: int, coeffs, prec: int, polynomial: bool = False):
+        _check_odd_prime(prime)
         if prec < 1:
             raise ValueError("prec must be >= 1")
         self.prime = prime
@@ -104,15 +106,7 @@ class TruncatedSeries:
             return NotImplemented
         self._shape_check(other)
         M = self.trunc
-        mod = self.prime**self.prec
-        out = [0] * M
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(M - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % mod
+        out = mul_trunc(self.coeffs, other.coeffs, self.prime**self.prec, M)
         poly = False
         if self.polynomial and other.polynomial:
             da = _poly_degree_bound(self.coeffs)
@@ -146,21 +140,19 @@ class TruncatedSeries:
     # -- units and Weierstrass data ---------------------------------------
 
     def invert_unit(self) -> "TruncatedSeries":
-        """Inverse of a series whose constant term is a unit."""
+        """Inverse of a series whose constant term is a unit, by Newton
+        doubling g <- g (2 - f g) mod T^(2k)."""
         p, M, mod = self.prime, self.trunc, self.prime**self.prec
         a0 = self.coeffs[0]
         if a0 % p == 0:
             raise ValueError("not a unit in Lambda: constant term is divisible by p")
-        inv0 = pow(a0, -1, mod)
-        out = [inv0] + [0] * (M - 1)
-        for k in range(1, M):
-            s = 0
-            for i in range(1, k + 1):
-                ai = self.coeffs[i] if i < M else 0
-                if ai:
-                    s += ai * out[k - i]
-            out[k] = (-inv0 * s) % mod
-        return TruncatedSeries(p, out, self.prec)
+        g = [pow(a0, -1, mod)]
+        while len(g) < M:
+            k = min(2 * len(g), M)
+            e = [-c % mod for c in mul_trunc(self.coeffs, g, mod, k)]
+            e[0] = (e[0] + 2) % mod
+            g = mul_trunc(g, e, mod, k)
+        return TruncatedSeries(p, g, self.prec)
 
     def weierstrass_degree(self) -> int:
         """Least index with a unit coefficient (Weierstrass degree)."""
@@ -174,19 +166,7 @@ class TruncatedSeries:
 
     def mu_lambda(self) -> tuple[int, int]:
         """(mu, lambda): minimal coefficient valuation and the first index attaining it."""
-        best = None
-        best_idx = None
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            v = int_vp(c, self.prime)
-            if best is None or v < best:
-                best, best_idx = v, i
-                if v == 0:
-                    break
-        if best is None:
-            raise IndeterminateWithinTruncation("series vanishes within the (M, N) window")
-        return best, best_idx
+        return mu_lambda_of(self.coeffs, self.prime)
 
     def divide(self, f: "TruncatedSeries") -> tuple["TruncatedSeries", list[int]]:
         """Division-lemma decomposition self = f*quotient + remainder.
@@ -214,14 +194,14 @@ class TruncatedSeries:
         for s in range(N):
             ps = p**s
             e = [(d // ps) % p for d in defect]
-            lam_bar = _fp_mul(e[nu:], ubar_inv.coeffs, p, W)
+            lam_bar = mul_trunc(e[nu:], ubar_inv.coeffs, p, W)
             for j in range(W):
                 quot[j] = (quot[j] + ps * lam_bar[j]) % mod
             for i in range(nu):
                 rem[i] = (rem[i] + ps * e[i]) % mod
             # defect -= p^s * (f * lam_bar + r_bar), computed mod (p^N, T^M);
             # beyond T^(M-nu) the defect is not meaningful but stays harmless
-            flam = _int_mul(f.coeffs, lam_bar, mod, M)
+            flam = mul_trunc(f.coeffs, lam_bar, mod, M)
             for j in range(M):
                 d = flam[j] + (e[j] if j < nu else 0)
                 defect[j] = (defect[j] - ps * d) % mod
@@ -356,26 +336,37 @@ def _poly_degree_bound(coeffs) -> int:
     return d
 
 
-def _fp_mul(a, b, p, out_len):
-    out = [0] * out_len
-    for i, x in enumerate(a[:out_len]):
-        if x:
-            for j in range(out_len - i):
-                y = b[j] if j < len(b) else 0
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return out
+def mu_lambda_of(coeffs, p: int) -> tuple[int, int]:
+    """Least valuation of the nonzero coefficients and the first index attaining it.
+
+    A unit coefficient settles both, so valuations are computed only when
+    no coefficient is a unit.
+    """
+    for i, c in enumerate(coeffs):
+        if c % p:
+            return 0, i
+    vals = [(int_vp(c, p), i) for i, c in enumerate(coeffs) if c]
+    if not vals:
+        raise IndeterminateWithinTruncation("series vanishes within the (M, N) window")
+    return min(vals)
 
 
-def _int_mul(a, b, mod, out_len):
-    out = [0] * out_len
-    for i, x in enumerate(a[:out_len]):
-        if x:
-            for j in range(min(len(b), out_len - i)):
-                y = b[j]
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % mod
-    return out
+def mul_trunc(a, b, mod: int, n: int) -> list[int]:
+    """First n coefficients of a*b mod `mod`, for coefficients in [0, mod).
+
+    The package's one product kernel, by Kronecker substitution: both
+    operands are packed into integers with slots wide enough for any exact
+    product coefficient, multiplied once, and the slots read back.
+    """
+    a, b = a[:n], b[:n]
+    if not a or not b:
+        return [0] * n
+    width = ((mod - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
+    x, y = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little") for v in (a, b))
+    size = min(n, len(a) + len(b) - 1)
+    buf = (x * y).to_bytes((len(a) + len(b)) * width, "little")
+    out = [int.from_bytes(buf[i : i + width], "little") % mod for i in range(0, size * width, width)]
+    return out + [0] * (n - size)
 
 
 # -- exact integer polynomials (low degree first) ---------------------------
@@ -389,14 +380,13 @@ def poly_trim(a: list[int]) -> list[int]:
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Exact product: mul_trunc modulo m = 2*max|a|*max|b|*min(len a, len b) + 1,
+    which bounds every coefficient, lifted back to the balanced range."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    m = 2 * max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)) + 1
+    out = mul_trunc([c % m for c in a], [c % m for c in b], m, len(a) + len(b) - 1)
+    return [c - m if 2 * c > m else c for c in out]
 
 
 def poly_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

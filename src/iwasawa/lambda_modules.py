@@ -15,13 +15,14 @@ from .characters import gen_bernoulli, teichmuller_char
 from .iwaseries import (
     IndeterminateWithinTruncation,
     TruncatedSeries,
+    mu_lambda_of,
     nu_rm_poly,
     poly_divmod_monic,
     poly_mul,
     poly_trim,
     resultant,
 )
-from .padic import int_vp
+from .padic import _check_odd_prime, int_vp
 
 
 def _is_distinguished(poly: list[int], p: int) -> bool:
@@ -37,6 +38,7 @@ class ElementaryModule:
     free_rank: int = 0
 
     def __post_init__(self):
+        _check_odd_prime(self.prime)
         if self.free_rank != 0:
             raise ValueError(
                 "free Lambda-summands are excluded: a module of infinite "
@@ -70,8 +72,7 @@ def _series_to_poly_data(g, p: int):
     poly = poly_trim(list(g))
     if not poly:
         raise ValueError("zero polynomial")
-    mu = min(int_vp(c, p) for c in poly if c != 0)
-    wdeg = next(i for i, c in enumerate(poly) if c != 0 and int_vp(c, p) == mu)
+    mu, wdeg = mu_lambda_of(poly, p)
     return mu, wdeg, poly, None
 
 
@@ -266,14 +267,16 @@ def parse_module_file(text: str) -> ElementaryModule:
         if not line or line.startswith("#"):
             continue
         head, *rest = line.split()
+        if head not in ("p", "ppow", "dist"):
+            raise ValueError(f"unknown directive {head!r}")
+        if not rest or head != "dist" and len(rest) > 1:
+            raise ValueError(f"malformed line {line!r}")
         if head == "p":
             prime = int(rest[0])
         elif head == "ppow":
             ppows.append(int(rest[0]))
-        elif head == "dist":
-            dists.append([int(x) for x in rest])
         else:
-            raise ValueError(f"unknown directive {head!r}")
+            dists.append([int(x) for x in rest])
     if prime is None:
         raise ValueError("module file must set `p <prime>`")
     return ElementaryModule(prime, tuple(ppows), tuple(tuple(q) for q in dists))

@@ -10,6 +10,7 @@ precision loss on cancellation conservatively.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 
@@ -17,6 +18,7 @@ class PadicError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
 def _check_odd_prime(p: int) -> None:
     if p == 2:
         raise PadicError("p = 2 is not supported (odd primes only)")
