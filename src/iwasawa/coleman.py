@@ -17,23 +17,26 @@ from math import comb, gcd
 
 from . import measures
 from .iwaseries import TruncatedSeries, mul_trunc
-from .padic import PadicNumber, int_vp, padic_binomial
+from .padic import PadicNumber, int_vp
 
 
 def w_series(k: int, p: int, trunc: int, prec: int) -> TruncatedSeries:
-    """((1+X)^(-k/2) - (1+X)^(k/2))/X, a unit series with constant term -k."""
+    """((1+X)^(-k/2) - (1+X)^(k/2))/X, a unit series with constant term -k.
+
+    C(h, n) = C(h, n-1) (h-n+1)/n runs as an exact Fraction product for
+    h = +-k/2, not mod p^prec, since n may be divisible by p.  Only 2
+    divides its denominators, so each difference reduces mod p^prec.
+    """
     if k % p == 0:
         raise ValueError("k must be prime to p")
-    half = Fraction(k, 2)
+    mod = p**prec
+    plus = minus = Fraction(1)
     coeffs = []
     for n in range(1, trunc + 1):
-        b = padic_binomial(-half, n, p, prec) - padic_binomial(half, n, p, prec)
-        if b.is_zero:
-            coeffs.append(0)
-            continue
-        if b.valuation < 0:
-            raise AssertionError("w_k coefficient left Z_p")
-        coeffs.append(int(b.lift()) % p**prec)
+        plus *= Fraction(k - 2 * n + 2, 2 * n)
+        minus *= Fraction(-k - 2 * n + 2, 2 * n)
+        b = minus - plus
+        coeffs.append(b.numerator * pow(b.denominator, -1, mod) % mod)
     return TruncatedSeries(p, coeffs, prec)
 
 

@@ -16,29 +16,20 @@ from math import comb
 from .padic import _check_odd_prime, int_vp
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, n + 1, i)))
-    return [i for i in range(n + 1) if sieve[i]]
-
-
 class BernoulliCache:
     """Memoized Bernoulli numbers B_0..B_limit, extendable upward.
 
-    Internally the even-index recurrence runs on integers B_{2m} * L where L
-    is the product of all primes <= limit+1, which clears every von
-    Staudt-Clausen denominator; this avoids Fraction gcd churn on the hot
-    path.  Extension is serialized by a lock (single-writer); reads of
-    already computed entries are safe concurrently.
+    Each extension runs the tangent-number triangle of Brent and Harvey
+    ("Fast computation of Bernoulli, tangent and secant numbers", 2013),
+    which needs only integer additions and small multiples, and stores
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) as a Fraction.  Extension is
+    serialized by a lock (single-writer); reads of already computed entries
+    are safe concurrently.
     """
 
     def __init__(self, limit: int = 32):
         self._lock = threading.Lock()
-        self._scale = 1
-        self._scaled = []  # _scaled[m] = B_{2m} * _scale
+        self._even = [Fraction(1)]  # _even[k] = B_2k
         self._limit = -1
         self.extend(limit)
 
@@ -50,26 +41,17 @@ class BernoulliCache:
         with self._lock:
             if new_limit <= self._limit:
                 return
-            scale = 1
-            for q in _primes_upto(new_limit + 1):
-                scale *= q
-            if scale != self._scale:
-                factor = scale // self._scale
-                self._scaled = [b * factor for b in self._scaled]
-                self._scale = scale
-            if not self._scaled:
-                self._scaled = [self._scale]  # B_0 = 1
-            L = self._scale
-            for m in range(len(self._scaled), new_limit // 2 + 1):
-                n = 2 * m
-                # sum_{r<n} C(n+1,r) B_r = -(n+1) B_n with B_1 = -1/2 here;
-                # even-index values agree across the two B_1 conventions.
-                s = sum(comb(n + 1, 2 * j) * self._scaled[j] for j in range(m))
-                s += (n + 1) * (-L) // 2
-                q, rem = divmod(-s, n + 1)
-                if rem:
-                    raise AssertionError("Bernoulli recurrence produced a non-integer")
-                self._scaled.append(q)
+            n = new_limit // 2
+            t = [0, 1] + [0] * (n - 1)  # t[j] ends as the tangent number T_j
+            for j in range(2, n + 1):
+                t[j] = (j - 1) * t[j - 1]
+            for k in range(2, n + 1):
+                for j in range(k, n + 1):
+                    t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+            self._even += [
+                Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+                for k in range(len(self._even), n + 1)
+            ]
             self._limit = new_limit
 
     def value(self, n: int) -> Fraction:
@@ -81,7 +63,7 @@ class BernoulliCache:
             return Fraction(0)
         if n > self._limit:
             self.extend(max(n, 2 * self._limit))
-        return Fraction(self._scaled[n // 2], self._scale)
+        return self._even[n // 2]
 
 
 _DEFAULT_CACHE = BernoulliCache()
@@ -208,6 +190,8 @@ class KummerReport:
 
 def kummer_regularized_value(m: int, p: int, c: int) -> Fraction:
     """(1 - c^m)(1 - p^(m-1)) B_m / m, the quantity the Kummer congruences compare."""
+    if m < 1:
+        raise ValueError("the regularized value needs m >= 1")
     return (1 - Fraction(c) ** m) * (1 - Fraction(p) ** (m - 1)) * bernoulli(m) / m
 
 

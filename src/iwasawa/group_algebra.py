@@ -3,9 +3,10 @@ L-elements, idempotents, character evaluation and the interpolation checks.
 
 Coefficients stay exact rationals as long as possible (Stickelberger
 denominators 1/(N p^r) would otherwise force negative-valuation bookkeeping
-everywhere); p-adic digits appear when a character is evaluated or when a
-character with irrational values (a nontrivial Teichmuller power) enters a
-coefficient.
+everywhere); p-adic digits appear when a character with irrational values (a
+nontrivial Teichmuller power) enters a coefficient.  When a character is
+evaluated, or a component series taken, the coefficients first become
+integer residues c * p^shift mod p^(prec+shift) (see `_coeff_residues`).
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     the gamma-power lift gamma^(ks) of <a> = gamma^k mod p^r.  Both are
     reported to the requested precision and agree modulo p^r.
     """
-    r = _p_power_level(x.modulus, p)
-    norm, shift, window = _normalized_coeffs(x, p)
+    _p_power_level(x.modulus, p)
+    res, shift, window = _coeff_residues(x, p, prec)
     K = prec + shift
     pK = p**K
     tables = _eval_tables(p, K)
@@ -259,8 +260,7 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     if s_int:
         s_red = s % p ** max(K - 1, 1)
     acc = 0
-    for a, (num_q, extra) in norm.items():
-        num = _coeff_numerator(num_q, extra, p, pK)
+    for a, num in res.items():
         abar = a % p
         w = tables.zeta_pow[(i * tables.ind[abar]) % (p - 1)]
         u = a * tables.teich_inv[abar] % pK
@@ -286,28 +286,33 @@ def _p_power_level(m: int, p: int) -> int:
     return r
 
 
-def _normalized_coeffs(x: GroupRingElement, p: int):
-    """Coefficients as (p-free rational, extra shift) with value q*p^extra / p^max_shift.
+def _coeff_residues(x: GroupRingElement, p: int, prec: int):
+    """Coefficients as integers: (res, shift, window) with
+    res[a] = coeff(a) * p^shift mod p^(prec+shift).
 
-    Returns (table, max_shift, window) where window bounds the absolute
-    precision of the evaluation (None when every coefficient is exact).
+    shift clears every p from the denominators; window bounds the absolute
+    precision of res (None when every coefficient is exact).  The valuation
+    and inverse of each distinct Fraction denominator are computed once.
     """
-    shifts = {}
-    max_shift = 0
+    dens = {}  # Fraction denominator -> its p-valuation
+    shift = 0
     window = None
+    for c in x.coeffs.values():
+        if isinstance(c, PadicNumber):
+            shift = max(shift, -c.valuation)
+            window = c.abs_precision if window is None else min(window, c.abs_precision)
+        elif c.denominator not in dens:
+            dens[c.denominator] = e = int_vp(c.denominator, p)
+            shift = max(shift, e)
+    pK = p ** (prec + shift)
+    scale = {d: p ** (shift - e) * pow(d // p**e, -1, pK) for d, e in dens.items()}
+    res = {}
     for a, c in x.coeffs.items():
         if isinstance(c, PadicNumber):
-            e = max(0, -c.valuation)
-            window = c.abs_precision if window is None else min(window, c.abs_precision)
+            res[a] = c.mantissa * p ** (c.valuation + shift) % pK
         else:
-            e = max(0, int_vp(Fraction(c).denominator, p))
-        shifts[a] = e
-        max_shift = max(max_shift, e)
-    out = {}
-    for a, c in x.coeffs.items():
-        q = (c.lift() if isinstance(c, PadicNumber) else Fraction(c)) * p ** shifts[a]
-        out[a] = (q, max_shift - shifts[a])
-    return out, max_shift, (window + max_shift if window is not None else None)
+            res[a] = c.numerator * scale[c.denominator] % pK
+    return res, shift, (window + shift if window is not None else None)
 
 
 class _EvalTables:
@@ -336,15 +341,6 @@ def _eval_tables(p: int, K: int) -> _EvalTables:
     if key not in _EVAL_CACHE:
         _EVAL_CACHE[key] = _EvalTables(p, K)
     return _EVAL_CACHE[key]
-
-
-def _coeff_numerator(q: Fraction, extra_shift: int, p: int, pK: int) -> int:
-    """Integer residue mod p^K of the normalized coefficient q * p^extra_shift."""
-    q = q * p**extra_shift
-    den = q.denominator
-    if den % p == 0:
-        raise AssertionError("normalization left a p in the denominator")
-    return q.numerator * pow(den, -1, pK) % pK
 
 
 # -- level tables: Z_p[(Z/p^r)^x] = Z_p[Delta][T]/(omega_(r-1)), gamma = 1+p ---
@@ -546,8 +542,11 @@ def branch_limit_index(p: int, n: int, k: int) -> int:
 
     Staying in n's residue class mod p-1 makes the oracle converge to the
     value the interpolation formula assigns to the trivial tame twist, which
-    is the quantity the other two constructions produce.
+    is the quantity the other two constructions produce.  n = 0 is the pole
+    of the p-adic zeta function, so it has no limit.
     """
+    if n < 1 or k < 0:
+        raise ValueError("the Kummer limit needs n >= 1 and k >= 0")
     m = n + p**k * (p - 1)
     if m > BERNOULLI_INDEX_LIMIT:
         raise ValueError(f"Bernoulli index {m} beyond the exact-cache budget")
@@ -603,16 +602,16 @@ def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> Tru
     precision.
     """
     r = _p_power_level(x.modulus, p)
-    norm, shift, _ = _normalized_coeffs(x, p)
+    res, shift, _ = _coeff_residues(x, p, prec)
     K = prec + shift
     pK = p**K
     zeta_pow = _eval_tables(p, K).zeta_pow
     pos = _level_index(p, r)
     deg = p ** (r - 1)
     acc = [0] * deg
-    for a, (num_q, extra) in norm.items():
+    for a, num in res.items():
         t, k = divmod(pos[a], deg)
-        acc[k] += _coeff_numerator(num_q, extra, p, pK) * zeta_pow[i * t % (p - 1)]
+        acc[k] += num * zeta_pow[i * t % (p - 1)]
     coeffs = []
     pshift = p**shift
     for v in _taylor_shift(acc, pK):

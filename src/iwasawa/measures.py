@@ -15,7 +15,6 @@ choose M >= n + N*(p-1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .iwaseries import TruncatedSeries
@@ -35,13 +34,14 @@ def dirac(a, p: int = None, trunc: int = None, prec: int = None) -> TruncatedSer
             b = padic_binomial(a, n)
             coeffs.append(0 if b.is_zero else int(b.lift() % p**prec))
         return TruncatedSeries(p, coeffs, prec)
+    if a != int(a):
+        raise ValueError("Dirac point must be an integer or a PadicNumber")
     coeffs = []
+    c = 1
     for n in range(trunc):
-        q = Fraction(1)
-        for i in range(n):
-            q *= Fraction(a - i, i + 1)
-        assert q.denominator == 1
-        coeffs.append(q.numerator)
+        if n:
+            c = c * (a - n + 1) // n  # exact: the product is n * C(a, n)
+        coeffs.append(c)
     return TruncatedSeries(p, coeffs, prec, polynomial=(0 <= a < trunc))
 
 
