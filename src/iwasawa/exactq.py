@@ -134,16 +134,6 @@ class ClausenVonStaudtReport:
     residue: int | None  # p*B_n mod p when p-1 | n
     passed: bool
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "p": self.p,
-            "p_minus_1_divides_n": self.divides,
-            "integral": self.integral,
-            "residue": self.residue,
-            "pass": self.passed,
-        }
-
 
 def clausen_von_staudt_check(n: int, p: int) -> ClausenVonStaudtReport:
     """Check B_n in Z_p when (p-1) does not divide n, else p*B_n = -1 mod p."""
@@ -173,19 +163,6 @@ class KummerReport:
     strong_form: bool  # whether the form without (1-c^*) factors was also checked
     strong_valuation: float | None
     passed: bool
-
-    def as_dict(self):
-        return {
-            "m": self.m,
-            "n": self.n,
-            "p": self.p,
-            "k": self.k,
-            "c": self.c,
-            "diff_valuation": self.diff_valuation,
-            "strong_form": self.strong_form,
-            "strong_valuation": self.strong_valuation,
-            "pass": self.passed,
-        }
 
 
 def kummer_regularized_value(m: int, p: int, c: int) -> Fraction:

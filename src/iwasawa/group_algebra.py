@@ -81,9 +81,6 @@ class GroupRingElement:
     def scalar_mul(self, s) -> "GroupRingElement":
         return GroupRingElement(self.modulus, {a: c * s for a, c in self.coeffs.items()})
 
-    def coefficient(self, a: int):
-        return self.coeffs.get(a % self.modulus, Fraction(0))
-
     def mass(self):
         """Sum of all coefficients (the image under the trivial character)."""
         total = Fraction(0)
@@ -426,22 +423,6 @@ class InterpReport:
     threshold: int
     passed: bool
 
-    def as_dict(self):
-        return {
-            "p": self.p,
-            "chi_conductor": self.chi_conductor,
-            "chi_trivial": self.chi_trivial,
-            "j": self.j,
-            "n": self.n,
-            "r": self.r,
-            "agreement_valuation": self.agreement_valuation,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
-
-    def as_text(self):
-        return "\n".join(f"{k}: {v}" for k, v in self.as_dict().items())
-
 
 def h_char_value(N: int, p: int, spec: PadicCharSpec, prec: int = 20) -> PadicNumber:
     """The regularizer h_N at omega^i kappa_0^s, exactly: 1 - (1+Np)^(1-s).
@@ -513,12 +494,6 @@ class ResidueUnitReport:
     p: int
     residue: int
     passed: bool
-
-    def as_dict(self):
-        return {"p": self.p, "residue": self.residue, "pass": self.passed}
-
-    def as_text(self):
-        return "\n".join(f"{k}: {v}" for k, v in self.as_dict().items())
 
 
 def residue_unit_check(p: int, prec: int = 12) -> ResidueUnitReport:

@@ -20,8 +20,6 @@ from math import comb
 from .iwaseries import TruncatedSeries
 from .padic import PadicNumber, padic_binomial
 
-MeasureSeries = TruncatedSeries
-
 
 def dirac(a, p: int = None, trunc: int = None, prec: int = None) -> TruncatedSeries:
     """The Dirac measure at a, i.e. the series (1+T)^a = sum binom(a, n) T^n."""

@@ -118,12 +118,6 @@ class PadicNumber:
             return Fraction(0)
         return Fraction(self.prime) ** self.valuation * self.mantissa
 
-    def unit_lift(self) -> int:
-        """Mantissa as an integer in [1, p^precision); requires nonzero."""
-        if self.is_zero:
-            raise PadicError("zero has no unit part")
-        return self.mantissa
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
@@ -245,8 +239,9 @@ class PadicNumber:
             other.precision,
         )
 
-    def __hash__(self):
-        return hash((self.prime, self.valuation, self.mantissa, self.precision))
+    # `==` against an exact number holds to self's precision only, so no hash
+    # can agree with it: p-adic numbers are not hashable.
+    __hash__ = None
 
     def agrees(self, other, abs_prec: int) -> bool:
         """True when self - other vanishes modulo p^abs_prec."""

@@ -151,3 +151,40 @@ def test_non_primes_rejected():
         with pytest.raises(ValueError):
             RunConfig(prime=q)
     assert RunConfig(prime=7).prime == 7
+
+
+def test_three_command_defaults(capsys):
+    code, out, _ = run(capsys, "three")
+    assert code == 0 and out.strip().endswith("pass: True")
+    code, out, _ = run(capsys, "three", "--json")
+    doc = json.loads(capsys_last_line(out))
+    assert code == 0 and doc["command"] == "three" and doc["pass"] is True
+    legs = {row[1] for row in doc["rows"][1:]}
+    assert {"stickelberger", "coleman", "kummer limit", "kummer regularized (c=2)"} <= legs
+
+
+def test_three_command_gates_regularized_limit_when_p_minus_1_divides_n(capsys):
+    # at p = 11, k = 1 the plain Kummer quotient at n = 10 agrees to 0 digits;
+    # only the c-regularized congruence is gated there
+    code, out, _ = run(capsys, "three", "--json", "--prime", "11", "--level", "3", "--kummer-k", "1", "--nmax", "12")
+    doc = json.loads(capsys_last_line(out))
+    assert code == 0 and doc["pass"] is True
+    plain = [row for row in doc["rows"][1:] if row[:2] == [10, "kummer limit"]]
+    assert plain and plain[0][4] == "-"
+
+
+def test_three_command_rejects_level_one(capsys):
+    code, _, err = run(capsys, "three", "--level", "1")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_three_command_builds_no_group_ring_product(capsys, monkeypatch):
+    from iwasawa import group_algebra
+
+    def refuse(self, other):
+        raise AssertionError("group-ring product built")
+
+    group_algebra._hmu_rows.cache_clear()
+    monkeypatch.setattr(group_algebra.GroupRingElement, "__mul__", refuse)
+    code, _, _ = run(capsys, "three")
+    assert code == 0

@@ -23,6 +23,16 @@ def test_rejects_two():
         PadicNumber.from_int(3, 2, 4)
 
 
+def test_padic_numbers_are_unhashable():
+    # `==` against an exact number depends on precision, so no hash can match it
+    x = PadicNumber.from_int(1, 5, 10)
+    assert x == 1
+    with pytest.raises(TypeError):
+        hash(x)
+    with pytest.raises(TypeError):
+        {x}
+
+
 def test_additive_inverse_gives_exact_zero():
     one = PadicNumber.from_int(1, 5, 4)
     assert (one + PadicNumber.from_int(-1, 5, 4)).is_zero
