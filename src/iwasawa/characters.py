@@ -6,17 +6,25 @@ stores, for each unit a mod m, the exponent e with chi(a) = zeta^e, where
 zeta is the Teichmuller lift of the least primitive root mod p.  This keeps
 multiplicativity, conductors and character products exact; p-adic digits
 enter only when a value is materialized.
+
+`teichmuller_table` is the package's one coordinate change on the mu_(p-1)
+factor of Z_p^x = mu_(p-1) x (1+pZ_p): the powers of zeta mod p^K, the index
+of each residue and the inverse Teichmuller lifts, cached per (p, K).  Every
+character value, idempotent and level table reads zeta from it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import exactq
 from .padic import PadicNumber, teichmuller
 
 
+@lru_cache(maxsize=None)
 def least_primitive_root(p: int) -> int:
     order = p - 1
     factors = set()
@@ -33,6 +41,23 @@ def least_primitive_root(p: int) -> int:
         if all(pow(g, order // q, p) != 1 for q in factors):
             return g
     raise ValueError(f"{p} has no primitive root")
+
+
+TeichmullerTable = namedtuple("TeichmullerTable", "zeta_pow ind teich_inv")
+
+
+@lru_cache(maxsize=None)
+def teichmuller_table(p: int, K: int) -> TeichmullerTable:
+    """mu_(p-1) mod p^K: zeta_pow[e] = zeta^e for 0 <= e < p-1, ind[a % p] = e
+    with a = zeta^e mod p, and teich_inv[a % p] = omega(a)^(-1).  zeta is the
+    Teichmuller lift of the least primitive root; omega(a) = zeta_pow[ind[a % p]].
+    """
+    pK = p**K
+    zeta = teichmuller(least_primitive_root(p), p, K).mantissa
+    zeta_pow = [pow(zeta, e, pK) for e in range(p - 1)]
+    ind = {z % p: e for e, z in enumerate(zeta_pow)}
+    teich_inv = {a: zeta_pow[-e % (p - 1)] for a, e in ind.items()}
+    return TeichmullerTable(zeta_pow, ind, teich_inv)
 
 
 class DirichletCharacter:
@@ -64,8 +89,7 @@ class DirichletCharacter:
         e = self.exponent(a)
         if e is None:
             return PadicNumber.zero(self.prime)
-        zeta = teichmuller(least_primitive_root(self.prime), self.prime, prec)
-        return zeta**e
+        return PadicNumber(self.prime, 0, teichmuller_table(self.prime, prec).zeta_pow[e], prec)
 
     def exponent(self, a: int) -> int | None:
         """Exponent e with chi(a) = zeta^e, or None when chi(a) = 0."""
@@ -148,13 +172,8 @@ class DirichletCharacter:
 
 def teichmuller_char(p: int, i: int) -> DirichletCharacter:
     """omega^i as a character mod p."""
-    g = least_primitive_root(p)
-    table = {}
-    x = 1
-    for k in range(p - 1):
-        table[x] = (i * k) % (p - 1)
-        x = x * g % p
-    return DirichletCharacter(p, p, table)
+    ind = teichmuller_table(p, 1).ind
+    return DirichletCharacter(p, p, {a: i * k for a, k in ind.items()})
 
 
 def from_generator_data(modulus: int, assignments: dict[int, int], prime: int) -> DirichletCharacter:
@@ -212,12 +231,12 @@ def _grouped_rational_sums(chi: DirichletCharacter, weights) -> dict[int, Fracti
 
 
 def _materialize(buckets: dict[int, Fraction], p: int, prec: int) -> PadicNumber:
-    zeta = teichmuller(least_primitive_root(p), p, prec)
+    zeta_pow = teichmuller_table(p, prec).zeta_pow
     total = PadicNumber.zero(p)
     for e, q in sorted(buckets.items()):
         if q == 0:
             continue
-        total = total + zeta**e * PadicNumber.from_rational(q, p, prec)
+        total = total + PadicNumber(p, 0, zeta_pow[e], prec) * PadicNumber.from_rational(q, p, prec)
     return total
 
 

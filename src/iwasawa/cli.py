@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ def _emit(cfg: RunConfig, command: str, payload: dict, passed: bool) -> int:
             **payload,
             "pass": passed,
         }
-        print(json.dumps(doc, sort_keys=True, default=str))
+        print(json.dumps(_json_safe(doc), sort_keys=True, default=str, allow_nan=False))
     else:
         for row in payload.get("rows", []):
             print("  ".join(str(x) for x in row) if isinstance(row, (list, tuple)) else row)
@@ -48,6 +49,16 @@ def _emit(cfg: RunConfig, command: str, payload: dict, passed: bool) -> int:
             print(chk)
         print(f"pass: {passed}")
     return 0 if passed else 1
+
+
+def _json_safe(x):
+    """JSON has no infinities: an agreement of +inf (values equal to every
+    carried digit) is written as the string "inf", -inf as "-inf"."""
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return str(x) if isinstance(x, float) and math.isinf(x) else x
 
 
 def cmd_bernoulli(cfg: RunConfig, upto: int) -> int:

@@ -13,10 +13,10 @@ towers is deliberately not implemented.  The pipeline is
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import measures
-from .iwaseries import TruncatedSeries, mul_trunc
+from .iwaseries import TruncatedSeries, mul_trunc, omega_poly
 from .padic import PadicNumber, int_vp
 
 
@@ -108,7 +108,7 @@ def log_derivative_measure(f: TruncatedSeries) -> TruncatedSeries:
 
 def omega_like(p: int, trunc: int) -> list[int]:
     """(1+T)^p - 1 as an integer polynomial (the level-one tower map)."""
-    return [comb(p, k) if k else 0 for k in range(min(p, trunc - 1) + 1)]
+    return omega_poly(p, 1)[:trunc]
 
 
 def delta_n(f: TruncatedSeries, n: int) -> PadicNumber:
@@ -117,10 +117,7 @@ def delta_n(f: TruncatedSeries, n: int) -> PadicNumber:
         raise ValueError("need n >= 1")
     if f.trunc < n + 1:
         raise ValueError("truncation exhausted: need trunc >= n+1")
-    h = f.d_operator() * _shrink(f.invert_unit(), f.trunc - 1)
-    for _ in range(n - 1):
-        h = h.d_operator()
-    return h.coeff(0)
+    return measures.moment(f.d_operator() * _shrink(f.invert_unit(), f.trunc - 1), n - 1)
 
 
 def _shrink(f: TruncatedSeries, new_trunc: int) -> TruncatedSeries:

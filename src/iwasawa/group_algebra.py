@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd
 
 from . import exactq
@@ -22,11 +21,15 @@ from .characters import (
     DirichletCharacter,
     L_neg,
     gen_bernoulli,
-    least_primitive_root,
     teichmuller_char,
+    teichmuller_table,
 )
-from .iwaseries import TruncatedSeries
-from .padic import PadicNumber, from_rational_abs, int_vp, teichmuller, unit_power, vp_diff
+from .iwaseries import TruncatedSeries, inverse_taylor_shift, taylor_shift
+from .padic import PadicNumber, from_rational_abs, int_vp, unit_power, vp_diff
+
+# the two coordinate kernels under the names the tests import
+_eval_tables = teichmuller_table
+_taylor_shift = taylor_shift
 
 
 class GroupRingElement:
@@ -175,8 +178,7 @@ def _mu_level_sums(chi: DirichletCharacter, r: int, prec: int):
         slot[e] = slot.get(e, 0) + a
     rational = all(e == 0 or 2 * e == p - 1 for e in _exponent_range(chi))
     half = (p - 1) // 2
-    zeta = teichmuller(least_primitive_root(p), p, prec + r).mantissa
-    zpow = [pow(zeta, e, p ** (prec + r)) for e in range(p - 1)]
+    zpow = teichmuller_table(p, prec + r).zeta_pow
     check = not chi.is_trivial()
     sums = []
     for c, slot in buckets.items():
@@ -205,17 +207,13 @@ def h_element(N: int, r: int, p: int) -> GroupRingElement:
 
 def idempotent(i: int, r: int, p: int, prec: int = 20) -> GroupRingElement:
     """e_(omega^i) = (1/(p-1)) sum_c omega^i(c)^(-1) delta_c at level r."""
-    pr = p**r
-    g0 = least_primitive_root(p)
-    zeta = teichmuller(g0, p, prec)
-    coeffs: dict[int, object] = {}
-    x = 1
-    for k in range(p - 1):
-        delta_key = teichmuller(x, p, r).mantissa % pr
-        val = zeta ** ((-i * k) % (p - 1)) / (p - 1)
-        coeffs[delta_key] = val
-        x = x * g0 % p
-    return GroupRingElement(pr, coeffs)
+    keys = teichmuller_table(p, r).zeta_pow
+    zeta_pow = teichmuller_table(p, prec).zeta_pow
+    coeffs = {
+        key: PadicNumber(p, 0, zeta_pow[-i * k % (p - 1)], prec) / (p - 1)
+        for k, key in enumerate(keys)
+    }
+    return GroupRingElement(p**r, coeffs)
 
 
 def h_i_element(N: int, i: int, r: int, p: int, prec: int = 20) -> GroupRingElement:
@@ -250,7 +248,7 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     res, shift, window = _coeff_residues(x, p, prec)
     K = prec + shift
     pK = p**K
-    tables = _eval_tables(p, K)
+    tables = teichmuller_table(p, K)
     s = spec.wild_exponent
     i = spec.teich_exponent % (p - 1)
     s_int = isinstance(s, int)
@@ -312,34 +310,6 @@ def _coeff_residues(x: GroupRingElement, p: int, prec: int):
     return res, shift, (window + shift if window is not None else None)
 
 
-class _EvalTables:
-    __slots__ = ("zeta_pow", "ind", "teich_inv")
-
-    def __init__(self, p, K):
-        g0 = least_primitive_root(p)
-        pK = p**K
-        t = {}
-        x = 1
-        ind = {}
-        for k in range(p - 1):
-            ind[x] = k
-            t[x] = teichmuller(x, p, K).mantissa
-            x = x * g0 % p
-        self.ind = ind
-        self.zeta_pow = [t[pow(g0, e, p)] for e in range(p - 1)]
-        self.teich_inv = {c: t[pow(c, -1, p)] for c in t}
-
-
-_EVAL_CACHE: dict[tuple[int, int], _EvalTables] = {}
-
-
-def _eval_tables(p: int, K: int) -> _EvalTables:
-    key = (p, K)
-    if key not in _EVAL_CACHE:
-        _EVAL_CACHE[key] = _EvalTables(p, K)
-    return _EVAL_CACHE[key]
-
-
 # -- level tables: Z_p[(Z/p^r)^x] = Z_p[Delta][T]/(omega_(r-1)), gamma = 1+p ---
 
 
@@ -347,19 +317,15 @@ def _eval_tables(p: int, K: int) -> _EvalTables:
 def _level_index(p: int, r: int) -> list[int]:
     """pos[a] = t * p^(r-1) + k where a = zeta^t gamma^k mod p^r, -1 off the units.
 
-    zeta is the Teichmuller lift of the least primitive root mod p, so t is
-    the Teichmuller index of a and k = dlog_gamma <a> mod p^(r-1).
+    zeta is the root of `teichmuller_table`, so t is the Teichmuller index
+    of a and k = dlog_gamma <a> mod p^(r-1).
     """
     pr, d = p**r, p ** (r - 1)
-    zeta = teichmuller(least_primitive_root(p), p, r).mantissa
     pos = [-1] * pr
-    x = 1
-    for t in range(p - 1):
-        y = x
+    for t, y in enumerate(teichmuller_table(p, r).zeta_pow):
         for k in range(d):
             pos[y] = t * d + k
             y = y * (1 + p) % pr
-        x = x * zeta % pr
     return pos
 
 
@@ -396,7 +362,7 @@ def _evaluate_rows(rows: list[list[int]], i: int, s: int, p: int, r: int, prec: 
     """sum_t zeta^(it) C_t(gamma^s) for a level-r table, known modulo p^prec."""
     pK = p ** (prec + r)
     x = pow(1 + p, s, pK)
-    zeta_pow = _eval_tables(p, prec + r).zeta_pow
+    zeta_pow = teichmuller_table(p, prec + r).zeta_pow
     acc = 0
     for t, row in enumerate(rows):
         v = 0
@@ -580,7 +546,7 @@ def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> Tru
     res, shift, _ = _coeff_residues(x, p, prec)
     K = prec + shift
     pK = p**K
-    zeta_pow = _eval_tables(p, K).zeta_pow
+    zeta_pow = teichmuller_table(p, K).zeta_pow
     pos = _level_index(p, r)
     deg = p ** (r - 1)
     acc = [0] * deg
@@ -589,45 +555,22 @@ def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> Tru
         acc[k] += num * zeta_pow[i * t % (p - 1)]
     coeffs = []
     pshift = p**shift
-    for v in _taylor_shift(acc, pK):
+    for v in taylor_shift(acc, pK):
         if v % pshift:
             raise ValueError("component has a non-integral coefficient at this precision")
         coeffs.append(v // pshift)
     return TruncatedSeries(p, coeffs, prec)
 
 
-def _taylor_shift(c: list[int], mod: int) -> list[int]:
-    """Coefficients of sum_k c_k (1+T)^k modulo mod, by the O(d^2) Ruffini scheme.
-
-    Pass k replaces c[k:] by its suffix sums: a synthetic division by X - 1
-    of what the earlier passes left, whose remainder c[k] is the T^k
-    coefficient.
-    """
-    c = [v % mod for v in c]
-    for k in range(len(c) - 1):
-        tail = list(accumulate(reversed(c[k:])))
-        tail.reverse()
-        c[k:] = tail
-        if k % 32 == 31:
-            c[k:] = [v % mod for v in c[k:]]
-    return [v % mod for v in c]
-
-
 def reassemble_components(comps: dict[int, TruncatedSeries], p: int, r: int, prec: int = 12) -> GroupRingElement:
-    """Inverse of component_series summed over all branches (test helper)."""
+    """Inverse of component_series summed over all branches (test helper):
+    each series, written in X = 1 + T by the inverse Taylor shift, puts h_k on gamma^k."""
     pr = p**r
-    gamma = GroupRingElement(pr, {(1 + p) % pr: Fraction(1)})
-    one = GroupRingElement(pr, {1: Fraction(1)})
-    tminus = gamma - one
     total = GroupRingElement(pr, {})
     for i, series in comps.items():
-        e_i = idempotent(i, r, p, prec)
+        h = TruncatedSeries(p, inverse_taylor_shift(series.coeffs, p**series.prec), series.prec)
         poly = GroupRingElement(pr, {})
-        power = one
-        for m in range(series.trunc):
-            c = series.coeff(m)
-            if not c.is_zero:
-                poly = poly + power.scalar_mul(c)
-            power = power * tminus
-        total = total + e_i * poly
+        for k in range(h.trunc):
+            poly = poly + GroupRingElement(pr, {pow(1 + p, k, pr): h.coeff(k)})
+        total = total + idempotent(i, r, p, prec) * poly
     return total

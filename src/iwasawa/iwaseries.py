@@ -13,13 +13,16 @@ operation documents how much of the (T^M, p^N) window survives:
 
 Exact integer polynomials (for omega_r, Phi_r, resultants and the
 lambda-module layer) are plain low-to-high int lists handled by the helper
-functions at the bottom.  Every product of two series or integer
-polynomials, inversion included, goes through the one kernel `mul_trunc`.
+functions at the bottom.  Two kernels serve the whole package: every
+product of two series or integer polynomials, inversion included, goes
+through `mul_trunc`, and every change between the group element gamma = X
+and the series variable T = X - 1 through `taylor_shift` and its inverse.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .padic import PadicNumber, _check_odd_prime, int_vp
@@ -367,6 +370,33 @@ def mul_trunc(a, b, mod: int, n: int) -> list[int]:
     buf = (x * y).to_bytes((len(a) + len(b)) * width, "little")
     out = [int.from_bytes(buf[i : i + width], "little") % mod for i in range(0, size * width, width)]
     return out + [0] * (n - size)
+
+
+def taylor_shift(c: list[int], mod: int) -> list[int]:
+    """Coefficients of sum_k c_k (1+T)^k modulo mod, by the O(d^2) Ruffini scheme.
+
+    Pass k replaces c[k:] by its suffix sums: a synthetic division by X - 1
+    of what the earlier passes left, whose remainder c[k] is the T^k
+    coefficient.
+    """
+    c = [v % mod for v in c]
+    for k in range(len(c) - 1):
+        tail = list(accumulate(reversed(c[k:])))
+        tail.reverse()
+        c[k:] = tail
+        if k % 32 == 31:
+            c[k:] = [v % mod for v in c[k:]]
+    return [v % mod for v in c]
+
+
+def inverse_taylor_shift(c: list[int], mod: int) -> list[int]:
+    """Coefficients of sum_n c_n (X-1)^n in powers of X, modulo mod.
+
+    (X-1)^n = (-1)^n (1 + (-X))^n, so this is taylor_shift with the signs
+    of the odd-index coefficients flipped before and after.
+    """
+    out = taylor_shift([-v if n % 2 else v for n, v in enumerate(c)], mod)
+    return [-v % mod if n % 2 else v for n, v in enumerate(out)]
 
 
 # -- exact integer polynomials (low degree first) ---------------------------

@@ -64,52 +64,52 @@ def invariants(E: ElementaryModule) -> tuple[int, int, list[int]]:
     return mu, lam, char
 
 
-def _series_to_poly_data(g, p: int):
-    """(mu, degree of the distinguished part, integer representative, prec)."""
+def _quotient_data(E: ElementaryModule, g):
+    """(wdeg(g), prec, [v_p(Res(P_j, g))]) for a finite E/gE, None for an
+    infinite one; prec is the p-precision of a series g, None for an integer
+    polynomial.  A resultant that vanishes within prec raises before the next
+    one is computed."""
+    p = E.prime
     if isinstance(g, TruncatedSeries):
-        mu, lam = g.mu_lambda()
-        return mu, lam, list(g.coeffs), g.prec
-    poly = poly_trim(list(g))
-    if not poly:
-        raise ValueError("zero polynomial")
-    mu, wdeg = mu_lambda_of(poly, p)
-    return mu, wdeg, poly, None
+        (mu_g, wdeg_g), poly, prec = g.mu_lambda(), list(g.coeffs), g.prec
+    else:
+        poly, prec = poly_trim(list(g)), None
+        if not poly:
+            raise ValueError("zero polynomial")
+        mu_g, wdeg_g = mu_lambda_of(poly, p)
+    if E.p_exponents and mu_g > 0:
+        return None
+    vals = []
+    for q in E.dist_polys:
+        res = resultant(list(q), poly)
+        if res == 0:
+            return None
+        v = int_vp(res, p)
+        if prec is not None and v >= prec:
+            raise IndeterminateWithinTruncation(
+                "resultant vanishes within the available p-precision"
+            )
+        vals.append(v)
+    return wdeg_g, prec, vals
 
 
 def is_finite_quotient(E: ElementaryModule, g) -> bool:
     """True iff E/gE is finite, i.e. g is coprime to p^mu * prod P_j."""
-    p = E.prime
-    mu_g, _, poly, prec = _series_to_poly_data(g, p)
-    if E.p_exponents and mu_g > 0:
-        return False
-    for q in E.dist_polys:
-        res = resultant(list(q), poly)
-        if res == 0:
-            return False
-        if prec is not None and int_vp(res, p) >= prec:
-            raise IndeterminateWithinTruncation(
-                "resultant vanishes within the available p-precision"
-            )
-    return True
+    return _quotient_data(E, g) is not None
 
 
 def quotient_order_exponent(E: ElementaryModule, g) -> int:
     """v_p of |E/gE|: mu_i * wdeg(g) per p-power factor, v_p(Res(P_j, g)) per
     polynomial factor (the determinant of multiplication by g on Lambda/(P_j))."""
-    p = E.prime
-    if not is_finite_quotient(E, g):
+    data = _quotient_data(E, g)
+    if data is None:
         raise ValueError("quotient is infinite")
-    mu_g, wdeg_g, poly, prec = _series_to_poly_data(g, p)
-    total = sum(mu_i * wdeg_g for mu_i in E.p_exponents)
-    for q in E.dist_polys:
-        res = resultant(list(q), poly)
-        v = int_vp(res, p)
-        if prec is not None and v >= prec - 1:
-            raise IndeterminateWithinTruncation(
-                "resultant valuation reaches the p-precision of the series"
-            )
-        total += v
-    return total
+    wdeg_g, prec, vals = data
+    if prec is not None and any(v >= prec - 1 for v in vals):
+        raise IndeterminateWithinTruncation(
+            "resultant valuation reaches the p-precision of the series"
+        )
+    return sum(mu_i * wdeg_g for mu_i in E.p_exponents) + sum(vals)
 
 
 def _mult_matrix(P: list[int], g: list[int]) -> list[list[int]]:

@@ -5,19 +5,19 @@ the Dirac measure at x and to the series (1+T)^x.  Continuous functions are
 represented by finite Mahler coefficient vectors only; everything downstream
 needs monomials and characters, so there is no callable abstraction.
 
-Restriction to Z_p^x is computed inside Z_p by binomial averaging (the
-mu_p-average of g(xi(1+T)-1) expanded coefficientwise), so no p-th roots of
-unity are needed.  Because the averaging mixes T-degrees, the coefficient of
-T^j in the result is only reliable modulo p^ceil((M-j)/(p-1)) relative to the
-discarded tail; callers wanting n-th moments to full p-precision N should
-choose M >= n + N*(p-1).
+Restriction to Z_p^x is computed inside Z_p by two Taylor shifts: in the
+variable X = 1+T the mu_p-average of g(xi X - 1) keeps exactly the powers
+X^k with p | k, so no p-th roots of unity are needed.  Because the averaging
+mixes T-degrees, the coefficient of T^j in the result is only reliable modulo
+p^ceil((M-j)/(p-1)) relative to the discarded tail; callers wanting n-th
+moments to full p-precision N should choose M >= n + N*(p-1).
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .iwaseries import TruncatedSeries
+from .iwaseries import TruncatedSeries, inverse_taylor_shift, taylor_shift
 from .padic import PadicNumber, padic_binomial
 
 
@@ -92,24 +92,12 @@ def mahler_of_monomial(n: int, length: int) -> list[int]:
 def restrict_to_units(g: TruncatedSeries) -> TruncatedSeries:
     """The measure restricted to Z_p^x, as a series.
 
-    Computes g minus the mu_p-average of g(xi(1+T)-1), using that the
-    xi-average of (xi(1+T)-1)^n equals
-      sum over k = 0, p, 2p, ... <= n of C(n,k) (-1)^(n-k) (1+T)^k.
+    Computes g minus the mu_p-average of g(xi(1+T)-1): written in X = 1+T,
+    g(T) = sum_k h_k X^k, and the xi-average of (xi X)^k is X^k when p | k
+    and 0 otherwise.
     """
-    p, M, N = g.prime, g.trunc, g.prec
+    p, N = g.prime, g.prec
     mod = p**N
-    avg = [0] * M
-    for n in range(M):
-        a = g.coeffs[n]
-        if a == 0:
-            continue
-        for k in range(0, n + 1, p):
-            c = comb(n, k) * (-1) ** (n - k) % mod
-            if c == 0:
-                continue
-            ac = a * c % mod
-            # add ac * (1+T)^k
-            for j in range(min(k, M - 1) + 1):
-                avg[j] = (avg[j] + ac * comb(k, j)) % mod
-    out = [(x - y) % mod for x, y in zip(g.coeffs, avg)]
-    return TruncatedSeries(p, out, N)
+    h = inverse_taylor_shift(g.coeffs, mod)
+    avg = taylor_shift([v if k % p == 0 else 0 for k, v in enumerate(h)], mod)
+    return TruncatedSeries(p, [x - y for x, y in zip(g.coeffs, avg)], N)
