@@ -69,9 +69,7 @@ class DirichletCharacter:
         self.modulus = modulus
         self.prime = prime
         self.exponents = {a % modulus: e % (prime - 1) for a, e in exponents.items()}
-        units = {a for a in range(1, modulus + 1) if gcd(a, modulus) == 1}
-        if modulus == 1:
-            units = {0}
+        units = {a % modulus for a in range(1, modulus + 1) if gcd(a, modulus) == 1}
         if set(self.exponents) != units:
             raise ValueError("exponent table must cover exactly the units mod m")
 
@@ -79,9 +77,7 @@ class DirichletCharacter:
 
     @staticmethod
     def trivial(modulus: int, prime: int) -> "DirichletCharacter":
-        if modulus == 1:
-            return DirichletCharacter(1, prime, {0: 0})
-        table = {a: 0 for a in range(1, modulus + 1) if gcd(a, modulus) == 1}
+        table = {a % modulus: 0 for a in range(1, modulus + 1) if gcd(a, modulus) == 1}
         return DirichletCharacter(modulus, prime, table)
 
     def __call__(self, a: int, prec: int = 20) -> PadicNumber:
@@ -93,8 +89,6 @@ class DirichletCharacter:
 
     def exponent(self, a: int) -> int | None:
         """Exponent e with chi(a) = zeta^e, or None when chi(a) = 0."""
-        if self.modulus == 1:
-            return 0
         a %= self.modulus
         return self.exponents.get(a)
 
@@ -112,7 +106,7 @@ class DirichletCharacter:
     @property
     def parity(self) -> int:
         """chi(-1), always +1 or -1."""
-        v = self.rational_value(-1 % self.modulus if self.modulus > 1 else 0)
+        v = self.rational_value(-1)
         if v is None or v == 0:
             raise AssertionError("chi(-1) must be a sign")
         return int(v)
@@ -123,8 +117,6 @@ class DirichletCharacter:
     # -- conductor --------------------------------------------------------
 
     def _factors_through(self, M: int) -> bool:
-        if self.modulus == 1:
-            return True
         for a in range(1, self.modulus + 1):
             if a % M == 1 % M and gcd(a, self.modulus) == 1:
                 if self.exponents[a % self.modulus] != 0:
@@ -145,14 +137,9 @@ class DirichletCharacter:
         N = self.conductor()
         if N == self.modulus:
             return self
-        table = {}
-        for u in range(1, N + 1) if N > 1 else [0]:
-            if N > 1 and gcd(u, N) != 1:
-                continue
-            b = u if N > 1 else 1
-            while gcd(b, self.modulus) != 1:
-                b += N
-            table[u % N] = self.exponents[b % self.modulus]
+        # chi factors through (Z/N)^x, which every unit mod m reaches, so all
+        # units a over one residue mod N carry the same exponent
+        table = {a % N: e for a, e in self.exponents.items()}
         return DirichletCharacter(N, self.prime, table)
 
     def multiply(self, other: "DirichletCharacter") -> "DirichletCharacter":
@@ -160,13 +147,7 @@ class DirichletCharacter:
         if self.prime != other.prime:
             raise ValueError("characters must share the working prime")
         m = self.modulus * other.modulus // gcd(self.modulus, other.modulus)
-        table = {}
-        for a in range(1, m + 1) if m > 1 else [0]:
-            if m > 1 and gcd(a, m) != 1:
-                continue
-            e1 = self.exponent(a if m > 1 else 1)
-            e2 = other.exponent(a if m > 1 else 1)
-            table[a % m] = e1 + e2
+        table = {a % m: self.exponent(a) + other.exponent(a) for a in range(1, m + 1) if gcd(a, m) == 1}
         return DirichletCharacter(m, self.prime, table)
 
 
@@ -183,8 +164,6 @@ def from_generator_data(modulus: int, assignments: dict[int, int], prime: int) -
     closure is computed and any inconsistent or non-generating assignment is
     rejected.
     """
-    if modulus == 1:
-        return DirichletCharacter.trivial(1, prime)
     for g in assignments:
         if gcd(g, modulus) != 1:
             raise ValueError(f"generator {g} is not a unit mod {modulus}")

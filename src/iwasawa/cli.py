@@ -202,6 +202,7 @@ def cmd_three(cfg: RunConfig, r: int, k: int, n_max: int) -> int:
 
 
 def cmd_eigenspace(cfg: RunConfig, prime: int) -> int:
+    _check_odd_prime(prime)
     rows = [["n", "v_p(B_(1,omega^(n-1)))", "predicted eigenspace order"]]
     nontrivial = []
     for n in range(2, prime - 2, 2):
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
         if args.command == "bernoulli":
             return cmd_bernoulli(cfg, args.upto)
         if args.command == "irregular":
-            return cmd_irregular(cfg, args.target_prime or cfg.prime)
+            return cmd_irregular(cfg, cfg.prime if args.target_prime is None else args.target_prime)
         if args.command == "interp":
             return cmd_interp(cfg, args.chi, args.nmax, args.rmin, args.rmax, args.n)
         if args.command == "weierstrass":
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
         if args.command == "three":
             return cmd_three(cfg, args.level, args.kummer_k, args.nmax)
         if args.command == "eigenspace":
-            return cmd_eigenspace(cfg, args.target_prime or cfg.prime)
+            return cmd_eigenspace(cfg, cfg.prime if args.target_prime is None else args.target_prime)
         if args.command == "selfcheck":
             return cmd_selfcheck(cfg)
         raise AssertionError(args.command)

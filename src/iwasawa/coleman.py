@@ -16,28 +16,24 @@ from fractions import Fraction
 from math import gcd
 
 from . import measures
-from .iwaseries import TruncatedSeries, mul_trunc, omega_poly
+from .iwaseries import TruncatedSeries, binomial_row, mul_trunc, omega_poly
 from .padic import PadicNumber, int_vp
 
 
 def w_series(k: int, p: int, trunc: int, prec: int) -> TruncatedSeries:
     """((1+X)^(-k/2) - (1+X)^(k/2))/X, a unit series with constant term -k.
 
-    C(h, n) = C(h, n-1) (h-n+1)/n runs as an exact Fraction product for
-    h = +-k/2, not mod p^prec, since n may be divisible by p.  Only 2
-    divides its denominators, so each difference reduces mod p^prec.
+    The binomial rows C(+-k/2, n) are exact Fractions, not residues mod
+    p^prec, since n may be divisible by p.  Only 2 divides their
+    denominators, so each difference reduces mod p^prec.
     """
     if k % p == 0:
         raise ValueError("k must be prime to p")
     mod = p**prec
-    plus = minus = Fraction(1)
-    coeffs = []
-    for n in range(1, trunc + 1):
-        plus *= Fraction(k - 2 * n + 2, 2 * n)
-        minus *= Fraction(-k - 2 * n + 2, 2 * n)
-        b = minus - plus
-        coeffs.append(b.numerator * pow(b.denominator, -1, mod) % mod)
-    return TruncatedSeries(p, coeffs, prec)
+    plus = binomial_row(Fraction(k, 2), trunc + 1)
+    minus = binomial_row(Fraction(-k, 2), trunc + 1)
+    diffs = [x - y for x, y in zip(minus[1:], plus[1:])]
+    return TruncatedSeries(p, [b.numerator * pow(b.denominator, -1, mod) for b in diffs], prec)
 
 
 def coleman_unit(a: int, b: int, p: int, trunc: int, prec: int) -> TruncatedSeries:

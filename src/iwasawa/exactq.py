@@ -69,9 +69,9 @@ class BernoulliCache:
 _DEFAULT_CACHE = BernoulliCache()
 
 
-def bernoulli(n: int, cache: BernoulliCache | None = None) -> Fraction:
+def bernoulli(n: int) -> Fraction:
     """B_n with B_1 = +1/2; zero for odd n > 1."""
-    return (cache or _DEFAULT_CACHE).value(n)
+    return _DEFAULT_CACHE.value(n)
 
 
 @lru_cache(maxsize=64)

@@ -329,19 +329,15 @@ def _level_index(p: int, r: int) -> list[int]:
     return pos
 
 
-def _hmu_table(chi: DirichletCharacter, r: int, prec: int) -> list[list[int]]:
-    """h_N mu_chi at level r as rows c[t][k], integers mod p^(prec+r) over p^r.
-
-    Row t holds the coefficients of zeta^t gamma^k.  Cached by the whole
-    character (its exponent table), r and prec.
-    """
-    return _hmu_rows(chi.prime, chi.modulus, tuple(sorted(chi.exponents.items())), r, prec)
-
-
 @lru_cache(maxsize=16)
-def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> list[list[int]]:
-    """Built from the bucket sums of mu_chi_level; h_N = 1 - (1+Np)
-    sigma_(1+Np)^(-1) shifts the k axis by k0 = dlog_gamma(1+Np)."""
+def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> tuple[int, ...]:
+    """h_N mu_chi at level r as a level table, integers mod p^(prec+r) over p^r.
+
+    Entry t p^(r-1) + k is the coefficient of zeta^t gamma^k (see
+    `_level_index`).  Built from the bucket sums of mu_chi_level; h_N =
+    1 - (1+Np) sigma_(1+Np)^(-1) shifts the k axis by k0 = dlog_gamma(1+Np).
+    Cached by the whole character (its exponent table), r and prec.
+    """
     chi = DirichletCharacter(N, p, dict(exponents))
     pK, d = p ** (prec + r), p ** (r - 1)
     pos = _level_index(p, r)
@@ -351,25 +347,23 @@ def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> list[list[
         flat[pos[b]] = acc * scale % pK
     u = 1 + N * p
     k0 = pos[u % p**r]
-    rows = []
+    table = []
     for t in range(p - 1):
         row = flat[t * d : (t + 1) * d]
-        rows.append([(x - u * y) % pK for x, y in zip(row, row[k0:] + row[:k0])])
-    return rows
+        table += [(x - u * y) % pK for x, y in zip(row, row[k0:] + row[:k0])]
+    return tuple(table)
 
 
-def _evaluate_rows(rows: list[list[int]], i: int, s: int, p: int, r: int, prec: int) -> PadicNumber:
-    """sum_t zeta^(it) C_t(gamma^s) for a level-r table, known modulo p^prec."""
-    pK = p ** (prec + r)
-    x = pow(1 + p, s, pK)
-    zeta_pow = teichmuller_table(p, prec + r).zeta_pow
-    acc = 0
-    for t, row in enumerate(rows):
-        v = 0
-        for c in reversed(row):
-            v = (v * x + c) % pK
-        acc += zeta_pow[i * t % (p - 1)] * v
-    return from_rational_abs(Fraction(acc % pK, p**r), p, prec)
+def _branch(table, i: int, p: int, K: int) -> list[int]:
+    """The omega^i-branch of a level table: sum_t zeta^(it) row_t mod p^K,
+    a polynomial in X = gamma (row t is the entries t p^(r-1) + k)."""
+    d, pK = len(table) // (p - 1), p**K
+    zeta_pow = teichmuller_table(p, K).zeta_pow
+    out = [0] * d
+    for t in range(p - 1):
+        z = zeta_pow[i * t % (p - 1)]
+        out = [v + z * c for v, c in zip(out, table[t * d : (t + 1) * d])]
+    return [v % pK for v in out]
 
 
 # -- special values and checks ------------------------------------------------
@@ -420,11 +414,12 @@ def interp_check(
     sharpens with r and the acceptance threshold is r - 1.
 
     The lhs is canonical only modulo p^r.  It is computed on the gamma-power
-    lift, by Horner evaluation of a cached table of h_N mu_chi (see
-    `_hmu_table`); `evaluate_char` on h_element * mu_chi_level uses the
-    integer lift, is reported to the same absolute precision and agrees
-    with it modulo p^r.  `_mu_cache` is accepted and ignored: the table cache is
-    internal and keyed by the whole character.
+    lift: Horner evaluation at gamma^(1-n) of the omega^i-branch of a cached
+    table of h_N mu_chi (see `_hmu_rows` and `_branch`); `evaluate_char` on
+    h_element * mu_chi_level uses the integer lift, is reported to the same
+    absolute precision and agrees with it modulo p^r.  `_mu_cache` is
+    accepted and ignored: the table cache is internal and keyed by the whole
+    character.
     """
     p = chi.prime
     if n < 1:
@@ -436,7 +431,12 @@ def interp_check(
         prec = r + 6
     N = chi.modulus
     spec = PadicCharSpec((1 - n - j) % (p - 1), 1 - n)
-    lhs = _evaluate_rows(_hmu_table(chi, r, prec), spec.teich_exponent, 1 - n, p, r, prec)
+    pK = p ** (prec + r)
+    table = _hmu_rows(p, N, tuple(sorted(chi.exponents.items())), r, prec)
+    x, acc = pow(1 + p, 1 - n, pK), 0
+    for c in reversed(_branch(table, spec.teich_exponent, p, prec + r)):
+        acc = (acc * x + c) % pK
+    lhs = from_rational_abs(Fraction(acc, p**r), p, prec)
     hval = h_char_value(N, p, spec, prec)
     if hval.is_zero:
         raise ValueError("the regularizer h vanishes at this character (the p-adic zeta pole)")
@@ -536,26 +536,21 @@ def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> Tru
     """Image of e_(omega^i) x in Z_p[T]/(omega_(r-1)) with gamma = 1 + T.
 
     Each sigma_a splits as (Teichmuller part, principal part) = (zeta^t,
-    gamma^k); the torsion part contributes a factor omega^i(a) and the
-    principal part X^k.  The coefficients are bucketed by k into a
-    polynomial in X, which one Taylor shift X -> 1 + T turns into the
-    series.  The result must have coefficients in Z_p at the working
+    gamma^k), so the coefficients form a level table; its omega^i-branch is
+    a polynomial in X = gamma, which one Taylor shift X -> 1 + T turns into
+    the series.  The result must have coefficients in Z_p at the working
     precision.
     """
     r = _p_power_level(x.modulus, p)
     res, shift, _ = _coeff_residues(x, p, prec)
     K = prec + shift
-    pK = p**K
-    zeta_pow = teichmuller_table(p, K).zeta_pow
     pos = _level_index(p, r)
-    deg = p ** (r - 1)
-    acc = [0] * deg
+    table = [0] * ((p - 1) * p ** (r - 1))
     for a, num in res.items():
-        t, k = divmod(pos[a], deg)
-        acc[k] += num * zeta_pow[i * t % (p - 1)]
+        table[pos[a]] = num
     coeffs = []
     pshift = p**shift
-    for v in taylor_shift(acc, pK):
+    for v in taylor_shift(_branch(table, i, p, K), p**K):
         if v % pshift:
             raise ValueError("component has a non-integral coefficient at this precision")
         coeffs.append(v // pshift)

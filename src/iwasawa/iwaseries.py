@@ -11,19 +11,22 @@ operation documents how much of the (T^M, p^N) window survives:
     p^min(N, M-j) (the discarded tail of f perturbs low coefficients by
     multiples of p^(M-j)).
 
-Exact integer polynomials (for omega_r, Phi_r, resultants and the
-lambda-module layer) are plain low-to-high int lists handled by the helper
-functions at the bottom.  Two kernels serve the whole package: every
-product of two series or integer polynomials, inversion included, goes
-through `mul_trunc`, and every change between the group element gamma = X
-and the series variable T = X - 1 through `taylor_shift` and its inverse.
+A series is its coefficient window and nothing else.  Exact integer
+polynomials (for omega_r, Phi_r, resultants and the lambda-module layer)
+are plain low-to-high int lists handled by the helper functions at the
+bottom.  Each operation has one kernel for the whole package: every
+product of two series or integer polynomials, inversion, substitution and
+the twist included, goes through `mul_trunc`; every change between the
+group element gamma = X and the series variable T = X - 1 through
+`taylor_shift` and its inverse; every binomial row C(x, 0..n-1) (omega_r,
+integer Dirac measures, the Coleman series) through `binomial_row`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
 
 from .padic import PadicNumber, _check_odd_prime, int_vp
 
@@ -33,9 +36,9 @@ class IndeterminateWithinTruncation(ValueError):
 
 
 class TruncatedSeries:
-    __slots__ = ("prime", "prec", "coeffs", "polynomial")
+    __slots__ = ("prime", "prec", "coeffs")
 
-    def __init__(self, prime: int, coeffs, prec: int, polynomial: bool = False):
+    def __init__(self, prime: int, coeffs, prec: int):
         _check_odd_prime(prime)
         if prec < 1:
             raise ValueError("prec must be >= 1")
@@ -43,7 +46,6 @@ class TruncatedSeries:
         self.prec = prec
         m = prime**prec
         self.coeffs = tuple(c % m for c in coeffs)
-        self.polynomial = polynomial
 
     # -- constructors ---------------------------------------------------
 
@@ -53,19 +55,19 @@ class TruncatedSeries:
 
     @staticmethod
     def one(p: int, trunc: int, prec: int) -> "TruncatedSeries":
-        return TruncatedSeries(p, [1] + [0] * (trunc - 1), prec, polynomial=True)
+        return TruncatedSeries(p, [1] + [0] * (trunc - 1), prec)
 
     @staticmethod
     def variable(p: int, trunc: int, prec: int) -> "TruncatedSeries":
         c = [0] * trunc
         if trunc > 1:
             c[1] = 1
-        return TruncatedSeries(p, c, prec, polynomial=True)
+        return TruncatedSeries(p, c, prec)
 
     @staticmethod
     def from_integer_poly(poly, p: int, trunc: int, prec: int) -> "TruncatedSeries":
         c = list(poly[:trunc]) + [0] * max(0, trunc - len(poly))
-        return TruncatedSeries(p, c, prec, polynomial=len(poly) <= trunc)
+        return TruncatedSeries(p, c, prec)
 
     @property
     def trunc(self) -> int:
@@ -93,11 +95,10 @@ class TruncatedSeries:
             self.prime,
             [a + b for a, b in zip(self.coeffs, other.coeffs)],
             self.prec,
-            self.polynomial and other.polynomial,
         )
 
     def __neg__(self):
-        return TruncatedSeries(self.prime, [-a for a in self.coeffs], self.prec, self.polynomial)
+        return TruncatedSeries(self.prime, [-a for a in self.coeffs], self.prec)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -110,12 +111,7 @@ class TruncatedSeries:
         self._shape_check(other)
         M = self.trunc
         out = mul_trunc(self.coeffs, other.coeffs, self.prime**self.prec, M)
-        poly = False
-        if self.polynomial and other.polynomial:
-            da = _poly_degree_bound(self.coeffs)
-            db = _poly_degree_bound(other.coeffs)
-            poly = da + db < M
-        return TruncatedSeries(self.prime, out, self.prec, poly)
+        return TruncatedSeries(self.prime, out, self.prec)
 
     def scalar_mul(self, c) -> "TruncatedSeries":
         if isinstance(c, PadicNumber):
@@ -125,7 +121,7 @@ class TruncatedSeries:
                 raise ValueError("scalar must lie in Z_p")
             c = c.lift()
             c = c.numerator * pow(c.denominator, -1, self.prime**self.prec)
-        return TruncatedSeries(self.prime, [c * a for a in self.coeffs], self.prec, self.polynomial)
+        return TruncatedSeries(self.prime, [c * a for a in self.coeffs], self.prec)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -220,7 +216,7 @@ class TruncatedSeries:
         n_eff = N - mu
         f1 = TruncatedSeries(p, [c // p**mu for c in self.coeffs], n_eff)
         nu = f1.weierstrass_degree()
-        tpow = TruncatedSeries(p, [1 if i == nu else 0 for i in range(M)], n_eff, polynomial=True)
+        tpow = TruncatedSeries(p, [1 if i == nu else 0 for i in range(M)], n_eff)
         lam, r = tpow.divide(f1)
         dist = [(-c) % p**n_eff for c in r] + [1]
         for c in dist[:-1]:
@@ -232,24 +228,27 @@ class TruncatedSeries:
     # -- substitutions and operators ---------------------------------------
 
     def substitute(self, g: "TruncatedSeries") -> "TruncatedSeries":
-        """f(g(T)) by Horner; requires g(0) in pZ_p so powers of g converge."""
+        """f(g(T)) by Horner on coefficient lists, acc <- acc g + c through
+        mul_trunc; requires g(0) in pZ_p so powers of g converge."""
         self._shape_check(g)
         p = self.prime
         if g.coeffs[0] % p != 0:
             raise ValueError("substitution target must have constant term in pZ_p")
-        M, N = self.trunc, self.prec
-        acc = TruncatedSeries.zero(p, M, N)
-        const = TruncatedSeries.one(p, M, N)
+        M, mod = self.trunc, p**self.prec
+        acc = [0] * M
         for c in reversed(self.coeffs):
-            acc = acc * g + const.scalar_mul(c)
-        return acc
+            acc = mul_trunc(acc, g.coeffs, mod, M)
+            acc[0] = (acc[0] + c) % mod
+        return TruncatedSeries(p, acc, self.prec)
 
     def nu_involution(self) -> "TruncatedSeries":
-        """The twist T -> (1+p)(1+T)^(-1) - 1 induced by g -> kappa(g) g^(-1)."""
+        """The twist T -> (1+p)(1+T)^(-1) - 1 induced by g -> kappa(g) g^(-1).
+
+        The target in closed form: p + (1+p) sum_(k>=1) (-T)^k.
+        """
         p, M, N = self.prime, self.trunc, self.prec
-        one_plus_t = TruncatedSeries(p, [1, 1] + [0] * (M - 2), N, polynomial=True)
-        target = one_plus_t.invert_unit().scalar_mul(1 + p) - TruncatedSeries.one(p, M, N)
-        return self.substitute(target)
+        target = [(1 + p) * (-1) ** k - (k == 0) for k in range(M)]
+        return self.substitute(TruncatedSeries(p, target, N))
 
     def deriv(self) -> "TruncatedSeries":
         """Formal derivative; truncation shrinks by one."""
@@ -280,12 +279,16 @@ class TruncatedSeries:
     @staticmethod
     def from_text(text: str) -> "TruncatedSeries":
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty series text: expected a header `p M N`")
         p, M, N = (int(x) for x in lines[0].split())
         if len(lines) - 1 != M:
             raise ValueError(f"expected {M} coefficient lines, got {len(lines) - 1}")
         coeffs = []
         for ln in lines[1:]:
             v, _, m = ln.partition(":")
+            if int(v) < 0:
+                raise ValueError(f"coefficient {ln!r} does not lie in Z_p (negative valuation)")
             coeffs.append(int(m) * p ** int(v))
         return TruncatedSeries(p, coeffs, N)
 
@@ -329,14 +332,6 @@ class DistinguishedFactorization:
         return all(
             (a - b) % mod == 0 for a, b in zip(rec.coeffs, self._source.coeffs[: rec.trunc])
         )
-
-
-def _poly_degree_bound(coeffs) -> int:
-    d = 0
-    for i, c in enumerate(coeffs):
-        if c:
-            d = i
-    return d
 
 
 def mu_lambda_of(coeffs, p: int) -> tuple[int, int]:
@@ -440,16 +435,28 @@ def poly_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]
     return poly_trim(q), poly_trim(r[:db])
 
 
+def binomial_row(x, n: int) -> list:
+    """C(x, 0), ..., C(x, n-1) for an integer or Fraction x, exactly, by
+    C(x, k) = C(x, k-1) (x-k+1)/k: `//` for an integer x (the product is
+    k C(x, k)), one Fraction factor per step otherwise."""
+    out = [1 if isinstance(x, int) else Fraction(1)]
+    for k in range(1, n):
+        if isinstance(x, int):
+            out.append(out[-1] * (x - k + 1) // k)
+        else:
+            out.append(out[-1] * Fraction(x.numerator - (k - 1) * x.denominator, k * x.denominator))
+    return out[:n]
+
+
 @lru_cache(maxsize=None)
 def _omega_tuple(p: int, r: int) -> tuple[int, ...]:
-    n = p**r
-    out = [comb(n, k) for k in range(n + 1)]
-    out[0] = 0
-    return tuple(out)
+    return (0, *binomial_row(p**r, p**r + 1)[1:])
 
 
 def omega_poly(p: int, r: int) -> list[int]:
     """(T+1)^(p^r) - 1, a distinguished polynomial of degree p^r."""
+    if r < 0:
+        raise ValueError("need level r >= 0")
     return list(_omega_tuple(p, r))
 
 
@@ -470,8 +477,8 @@ def phi_poly(p: int, r: int) -> list[int]:
 
 def nu_rm_poly(p: int, r: int, m: int) -> list[int]:
     """omega_r / omega_m = Phi_r ... Phi_(m+1) for r >= m >= 0."""
-    if r < m:
-        raise ValueError("need r >= m")
+    if r < m or m < 0:
+        raise ValueError("need r >= m >= 0")
     if r == m:
         return [1]
     return list(_nu_tuple(p, r, m))

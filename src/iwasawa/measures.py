@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .iwaseries import TruncatedSeries, inverse_taylor_shift, taylor_shift
+from .iwaseries import TruncatedSeries, binomial_row, inverse_taylor_shift, taylor_shift
 from .padic import PadicNumber, padic_binomial
 
 
@@ -34,13 +34,7 @@ def dirac(a, p: int = None, trunc: int = None, prec: int = None) -> TruncatedSer
         return TruncatedSeries(p, coeffs, prec)
     if a != int(a):
         raise ValueError("Dirac point must be an integer or a PadicNumber")
-    coeffs = []
-    c = 1
-    for n in range(trunc):
-        if n:
-            c = c * (a - n + 1) // n  # exact: the product is n * C(a, n)
-        coeffs.append(c)
-    return TruncatedSeries(p, coeffs, prec, polynomial=(0 <= a < trunc))
+    return TruncatedSeries(p, binomial_row(int(a), trunc), prec)
 
 
 def convolve(mu1: TruncatedSeries, mu2: TruncatedSeries) -> TruncatedSeries:

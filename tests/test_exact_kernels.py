@@ -312,7 +312,6 @@ def test_integer_dirac_is_binomial_row():
         row = [comb(a, n) if a >= 0 else (-1) ** n * comb(n - a - 1, n) for n in range(M)]
         d = measures.dirac(a, p, M, prec)
         assert d.coeffs == tuple(c % p**prec for c in row), a
-        assert d.polynomial == (0 <= a < M)
     assert measures.dirac(3, p, 0, prec).coeffs == ()
     with pytest.raises(ValueError):
         measures.dirac(Fraction(1, 2), p, 6, 4)
