@@ -70,9 +70,9 @@ def cmd_bernoulli(cfg: RunConfig, upto: int) -> int:
     return _emit(cfg, "bernoulli", {"rows": rows}, True)
 
 
-def cmd_irregular(cfg: RunConfig, prime: int) -> int:
-    idx = sorted(exactq.irregular_indices(prime))
-    rows = [[f"irregular indices for p={prime}:", idx]]
+def cmd_irregular(cfg: RunConfig) -> int:
+    idx = sorted(exactq.irregular_indices(cfg.prime))
+    rows = [[f"irregular indices for p={cfg.prime}:", idx]]
     return _emit(cfg, "irregular", {"rows": rows, "indices": idx}, True)
 
 
@@ -201,15 +201,14 @@ def cmd_three(cfg: RunConfig, r: int, k: int, n_max: int) -> int:
     return _emit(cfg, "three", {"rows": rows}, ok)
 
 
-def cmd_eigenspace(cfg: RunConfig, prime: int) -> int:
-    _check_odd_prime(prime)
+def cmd_eigenspace(cfg: RunConfig) -> int:
     rows = [["n", "v_p(B_(1,omega^(n-1)))", "predicted eigenspace order"]]
     nontrivial = []
-    for n in range(2, prime - 2, 2):
-        v = lambda_modules.eigenspace_order_prediction(prime, n, prec=6)
+    for n in range(2, cfg.prime - 2, 2):
+        v = lambda_modules.eigenspace_order_prediction(cfg.prime, n, prec=6)
         if v:
             nontrivial.append((n, v))
-            rows.append([n, v, f"{prime}^{v}"])
+            rows.append([n, v, f"{cfg.prime}^{v}"])
     rows.append(["(all other even n give trivial eigenspaces)", "", ""])
     return _emit(cfg, "eigenspace", {"rows": rows, "nontrivial": nontrivial}, True)
 
@@ -267,7 +266,7 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=5)
+    common.add_argument("-p", "--prime", type=int, default=5)
     common.add_argument("--prec", type=int, default=8, help="p-adic precision N")
     common.add_argument("--trunc", type=int, default=24, help="series truncation M")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -278,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bernoulli", parents=[common], help="table of B_n and zeta(1-n) for n < UPTO")
     b.add_argument("--upto", type=int, default=18)
 
-    irr = sub.add_parser("irregular", parents=[common], help="irregular indices of the prime")
-    irr.add_argument("-p", "--target-prime", type=int, default=None)
+    sub.add_parser("irregular", parents=[common], help="irregular indices of the prime")
 
     itp = sub.add_parser("interp", parents=[common], help="finite-level interpolation agreement grid")
     itp.add_argument("--chi", default="trivial", help="trivial or quadratic3")
@@ -307,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--kummer-k", type=int, default=2)
     t.add_argument("--nmax", type=int, default=6)
 
-    e = sub.add_parser("eigenspace", parents=[common], help="predicted class-group eigenspace orders")
-    e.add_argument("-p", "--target-prime", type=int, default=None)
+    sub.add_parser("eigenspace", parents=[common], help="predicted class-group eigenspace orders")
 
     sub.add_parser("selfcheck", parents=[common], help="run the built-in invariant suite")
     return ap
@@ -327,7 +324,7 @@ def main(argv=None) -> int:
         if args.command == "bernoulli":
             return cmd_bernoulli(cfg, args.upto)
         if args.command == "irregular":
-            return cmd_irregular(cfg, cfg.prime if args.target_prime is None else args.target_prime)
+            return cmd_irregular(cfg)
         if args.command == "interp":
             return cmd_interp(cfg, args.chi, args.nmax, args.rmin, args.rmax, args.n)
         if args.command == "weierstrass":
@@ -339,7 +336,7 @@ def main(argv=None) -> int:
         if args.command == "three":
             return cmd_three(cfg, args.level, args.kummer_k, args.nmax)
         if args.command == "eigenspace":
-            return cmd_eigenspace(cfg, cfg.prime if args.target_prime is None else args.target_prime)
+            return cmd_eigenspace(cfg)
         if args.command == "selfcheck":
             return cmd_selfcheck(cfg)
         raise AssertionError(args.command)

@@ -14,12 +14,12 @@ operation documents how much of the (T^M, p^N) window survives:
 A series is its coefficient window and nothing else.  Exact integer
 polynomials (for omega_r, Phi_r, resultants and the lambda-module layer)
 are plain low-to-high int lists handled by the helper functions at the
-bottom.  Each operation has one kernel for the whole package: every
-product of two series or integer polynomials, inversion, substitution and
-the twist included, goes through `mul_trunc`; every change between the
-group element gamma = X and the series variable T = X - 1 through
-`taylor_shift` and its inverse; every binomial row C(x, 0..n-1) (omega_r,
-integer Dirac measures, the Coleman series) through `binomial_row`.
+bottom.  Each operation has one kernel for the whole package: every product
+of two series or integer polynomials, inversion, division, substitution and
+the twist included, goes through `mul_trunc`; every change between the group
+element gamma = X and the series variable T = X - 1 through `taylor_shift`
+and its inverse; every binomial row C(x, 0..n-1) (omega_r, integer Dirac
+measures, the Coleman series) through `binomial_row`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .padic import PadicNumber, _check_odd_prime, int_vp
+
+
+# Largest precision N of a series file (work grows as N^2); tests use N <= 9, the benchmark N <= 20.
+MAX_FILE_PREC = 1000
 
 
 class IndeterminateWithinTruncation(ValueError):
@@ -172,8 +176,10 @@ class TruncatedSeries:
 
         f must have Weierstrass degree nu with 2*nu <= M.  Returns the
         quotient (truncation M - nu) and the remainder as a coefficient list
-        of length nu (integers mod p^N).  The scheme gains one power of p
-        per round and therefore stabilizes after N rounds.
+        of length nu (integers mod p^N).  With f = A + T^nu B, A = f mod T^nu,
+        the quotient is the fixed point of q <- B^(-1) (t(self) - t(q A)), t
+        dropping the first nu coefficients; each round multiplies the error
+        by A, so ceil(N / v_p(A)) rounds from q = 0 are exact (one if A = 0).
         """
         self._shape_check(f)
         p, M, N = self.prime, self.trunc, self.prec
@@ -182,30 +188,16 @@ class TruncatedSeries:
             raise IndeterminateWithinTruncation(
                 f"need 2*nu <= M to determine the remainder (nu={nu}, M={M})"
             )
-        W = M - nu
         mod = p**N
-        # inverse of the unit part of f mod p, on the quotient window
-        fbar_unit = TruncatedSeries(p, f.coeffs[nu:nu + W], 1)
-        ubar_inv = fbar_unit.invert_unit()
-        quot = [0] * W
-        rem = [0] * nu
-        defect = list(self.coeffs)
-        for s in range(N):
-            ps = p**s
-            e = [(d // ps) % p for d in defect]
-            lam_bar = mul_trunc(e[nu:], ubar_inv.coeffs, p, W)
-            for j in range(W):
-                quot[j] = (quot[j] + ps * lam_bar[j]) % mod
-            for i in range(nu):
-                rem[i] = (rem[i] + ps * e[i]) % mod
-            # defect -= p^s * (f * lam_bar + r_bar), computed mod (p^N, T^M);
-            # beyond T^(M-nu) the defect is not meaningful but stays harmless
-            flam = mul_trunc(f.coeffs, lam_bar, mod, M)
-            for j in range(M):
-                d = flam[j] + (e[j] if j < nu else 0)
-                defect[j] = (defect[j] - ps * d) % mod
-        quotient = TruncatedSeries(p, quot, N)
-        return quotient, rem
+        A, g = f.coeffs[:nu], self.coeffs
+        b_inv = TruncatedSeries(p, f.coeffs[nu:], N).invert_unit().coeffs
+        v = min((int_vp(c, p) for c in A if c), default=N)
+        q = []  # the zero polynomial, to mul_trunc
+        for _ in range(-(-N // v)):
+            qa = mul_trunc(q, A, mod, M)
+            q = mul_trunc(b_inv, [(a - b) % mod for a, b in zip(g[nu:], qa[nu:])], mod, M - nu)
+        rem = [(a - b) % mod for a, b in zip(g, mul_trunc(q, A, mod, nu))]
+        return TruncatedSeries(p, q, N), rem
 
     def weierstrass_prep(self) -> "DistinguishedFactorization":
         """f = p^mu * unit * P with P distinguished, following the preparation theorem."""
@@ -282,14 +274,18 @@ class TruncatedSeries:
         if not lines:
             raise ValueError("empty series text: expected a header `p M N`")
         p, M, N = (int(x) for x in lines[0].split())
+        _check_odd_prime(p)
+        if N > MAX_FILE_PREC:
+            raise ValueError(f"series file precision N = {N} exceeds the bound {MAX_FILE_PREC}")
         if len(lines) - 1 != M:
             raise ValueError(f"expected {M} coefficient lines, got {len(lines) - 1}")
         coeffs = []
         for ln in lines[1:]:
-            v, _, m = ln.partition(":")
-            if int(v) < 0:
+            v, m = map(int, ln.split(":"))
+            if v < 0:
                 raise ValueError(f"coefficient {ln!r} does not lie in Z_p (negative valuation)")
-            coeffs.append(int(m) * p ** int(v))
+            # p^v with v >= N is 0 mod p^N, and computing it could take unbounded time
+            coeffs.append(m * p**v if v < N else 0)
         return TruncatedSeries(p, coeffs, N)
 
 

@@ -18,10 +18,16 @@ class PadicError(ValueError):
     pass
 
 
+# trial division up to sqrt(p) takes 0.1 s just below 2^40 on a 2-vCPU x86 VM
+MAX_PRIME_BITS = 40
+
+
 @lru_cache(maxsize=None)
 def _check_odd_prime(p: int) -> None:
     if p == 2:
         raise PadicError("p = 2 is not supported (odd primes only)")
+    if p >= 2**MAX_PRIME_BITS:
+        raise PadicError(f"p = {p} is too large (primes below 2^{MAX_PRIME_BITS} only)")
     if p < 3 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise PadicError(f"{p} is not an odd prime")
 

@@ -88,6 +88,13 @@ def test_eigenspace_command(capsys):
     assert doc["nontrivial"] == [[32, 1]] or doc["nontrivial"] == [(32, 1)]
 
 
+@pytest.mark.parametrize("command, key, value", [("irregular", "indices", [32]), ("eigenspace", "nontrivial", [[32, 1]])])
+def test_short_p_is_the_common_prime_option(capsys, command, key, value):
+    code, out, _ = run(capsys, command, "-p", "37", "--json")
+    doc = json.loads(capsys_last_line(out))
+    assert code == 0 and doc["config"]["prime"] == 37 and doc[key] == value
+
+
 def test_selfcheck(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0

@@ -2,13 +2,15 @@
 reports them as `error: ...` with exit code 2; the memoized prime check and
 Bernoulli rows behave like the plain functions."""
 
+import time
+
 import pytest
 
-from iwasawa.cli import main
+from iwasawa.cli import entry, main
 from iwasawa.exactq import bernoulli_poly, bernoulli_poly_eval
-from iwasawa.iwaseries import TruncatedSeries
+from iwasawa.iwaseries import MAX_FILE_PREC, TruncatedSeries
 from iwasawa.lambda_modules import ElementaryModule, parse_module_file
-from iwasawa.padic import PadicError, _check_odd_prime
+from iwasawa.padic import MAX_PRIME_BITS, PadicError, _check_odd_prime
 
 
 @pytest.mark.parametrize("text", ["p\n", "p 5\nppow\n", "p 5\ndist\n", "p 5 7\n", "p 5\nppow 1 2\n"])
@@ -29,6 +31,41 @@ def test_weierstrass_rejects_non_prime_series_file(tmp_path, capsys):
     path.write_text("4 2 4\n0:1\n0:1\n")
     assert main(["weierstrass", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _timed_entry(argv, capsys):
+    t0 = time.perf_counter()
+    code = entry(argv)
+    return code, time.perf_counter() - t0, capsys.readouterr().err
+
+
+# a precision far above the bound, and a valuation whose power of p would take
+# over a minute to compute; the second file is the zero series once v >= N reads as 0
+@pytest.mark.parametrize("text", ["5 2 2000000\n0:1\n0:1\n", "5 1 4\n40000000:1\n"])
+def test_series_files_that_could_hang_exit_2_promptly(tmp_path, capsys, text):
+    path = tmp_path / "series.txt"
+    path.write_text(text)
+    code, seconds, err = _timed_entry(["weierstrass", str(path)], capsys)
+    assert code == 2 and err.startswith("error:") and seconds < 1
+
+
+def test_series_file_precision_bound_and_high_valuations():
+    ok = TruncatedSeries.from_text(f"5 3 {MAX_FILE_PREC}\n0:1\n{MAX_FILE_PREC}:1\n2:3\n")
+    assert ok.coeffs == (1, 0, 75)
+    assert TruncatedSeries.from_text("5 2 4\n4:1\n3:2\n").coeffs == (0, 250)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        TruncatedSeries.from_text(f"5 1 {MAX_FILE_PREC + 1}\n0:1\n")
+
+
+def test_large_prime_is_refused_promptly(capsys):
+    code, seconds, err = _timed_entry(["bernoulli", "--prime", "1000000000000000003"], capsys)
+    assert code == 2 and err.startswith("error:") and f"2^{MAX_PRIME_BITS}" in err and seconds < 1
+    with pytest.raises(PadicError, match="too large"):
+        _check_odd_prime(2**MAX_PRIME_BITS + 15)
+    _check_odd_prime(2**40 - 87)  # the largest prime below the bound
+    for p, message in ((2, "p = 2 is not supported"), (1, "1 is not an odd prime"), (9, "9 is not an odd prime")):
+        with pytest.raises(PadicError, match=message):
+            _check_odd_prime(p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9])
