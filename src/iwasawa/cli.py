@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import coleman, exactq, group_algebra, lambda_modules, measures
 from .characters import DirichletCharacter, quadratic_char
-from .iwaseries import TruncatedSeries
+from .iwaseries import MAX_COLEMAN_WORK, TruncatedSeries
 from .padic import PadicNumber, _check_odd_prime, decompose_unit, pexp, plog, teichmuller, vp_diff
 
 
@@ -139,8 +139,15 @@ def cmd_growth(cfg: RunConfig, module_file: str, e: int, r_max: int) -> int:
 
 
 def _coleman_window(cfg: RunConfig, n_max: int) -> tuple[int, int]:
-    """Series truncation M and p-adic precision N for moments up to n_max."""
-    return max(cfg.trunc, n_max + (cfg.prec + 2) * (cfg.prime - 1) + 2), cfg.prec
+    """Series truncation M and p-adic precision N for moments up to n_max.
+    Each moment builds a measure whose Horner substitution does M products of
+    M coefficients mod p^N: windows whose n_max M^2 N log2(p) exceeds
+    MAX_COLEMAN_WORK are refused."""
+    M, N = max(cfg.trunc, n_max + (cfg.prec + 2) * (cfg.prime - 1) + 2), cfg.prec
+    if max(n_max, 1) * M * M * N * cfg.prime.bit_length() > MAX_COLEMAN_WORK:
+        raise ValueError(f"Coleman window (M, N) = ({M}, {N}) at p = {cfg.prime} for {n_max} moments "
+                         f"exceeds the work bound n_max M^2 N log2(p) <= {MAX_COLEMAN_WORK:.0e}")
+    return M, N
 
 
 def cmd_coleman(cfg: RunConfig, n_max: int, pairs: str, min_agree: int) -> int:
@@ -204,11 +211,12 @@ def cmd_three(cfg: RunConfig, r: int, k: int, n_max: int) -> int:
 def cmd_eigenspace(cfg: RunConfig) -> int:
     rows = [["n", "v_p(B_(1,omega^(n-1)))", "predicted eigenspace order"]]
     nontrivial = []
-    for n in range(2, cfg.prime - 2, 2):
+    # B_(1,omega^(n-1)) = B_n/n mod p (Washington, Cyclotomic Fields, Cor. 5.15):
+    # it is a unit except at the irregular indices
+    for n in sorted(exactq.irregular_indices(cfg.prime)):
         v = lambda_modules.eigenspace_order_prediction(cfg.prime, n, prec=6)
-        if v:
-            nontrivial.append((n, v))
-            rows.append([n, v, f"{cfg.prime}^{v}"])
+        nontrivial.append((n, v))
+        rows.append([n, v, f"{cfg.prime}^{v}"])
     rows.append(["(all other even n give trivial eigenspaces)", "", ""])
     return _emit(cfg, "eigenspace", {"rows": rows, "nontrivial": nontrivial}, True)
 

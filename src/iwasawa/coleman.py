@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import measures
-from .iwaseries import TruncatedSeries, binomial_row, mul_trunc, omega_poly
-from .padic import PadicNumber, int_vp
+from .iwaseries import TruncatedSeries, binomial_row, log_one_plus, omega_poly
+from .padic import PadicNumber
 
 
 def w_series(k: int, p: int, trunc: int, prec: int) -> TruncatedSeries:
@@ -45,38 +45,6 @@ def coleman_unit(a: int, b: int, p: int, trunc: int, prec: int) -> TruncatedSeri
     return w_series(a, p, trunc, prec) * w_series(b, p, trunc, prec).invert_unit()
 
 
-def _log_one_plus(u: TruncatedSeries) -> TruncatedSeries:
-    """log(1+u) for u with all coefficients divisible by p, lossless mod p^N.
-
-    Terms u^m/m are computed with a small internal modulus buffer so the
-    exact divisions by powers of p inside 1/m lose nothing.
-    """
-    p, M, N = u.prime, u.trunc, u.prec
-    buffer = 1
-    while p**buffer <= N + 2:
-        buffer += 1
-    K = N + buffer
-    modK = p**K
-    ucoef = [c % modK for c in u.coeffs]
-    if any(c % p for c in ucoef):
-        raise AssertionError("log argument is not congruent to 1 mod p")
-    acc = [0] * M
-    power = list(ucoef)
-    m = 1
-    while any(power) and m <= N + buffer + 1:
-        e = int_vp(m, p) if m % p == 0 else 0
-        minv = pow(m // p**e, -1, modK)
-        for j in range(M):
-            t = power[j]
-            if t:
-                if t % p**e:
-                    raise AssertionError("precision bug: term not divisible by its index")
-                acc[j] = (acc[j] + (-1) ** (m + 1) * (t // p**e) * minv) % modK
-        m += 1
-        power = mul_trunc(power, ucoef, modK, M)
-    return TruncatedSeries(p, [c % p**N for c in acc], N)
-
-
 def log_derivative_measure(f: TruncatedSeries) -> TruncatedSeries:
     """(1/p) log(f(T)^p / f((1+T)^p - 1)) as a series of one less p-digit.
 
@@ -93,13 +61,10 @@ def log_derivative_measure(f: TruncatedSeries) -> TruncatedSeries:
         fp = fp * f
     g = fp * f.substitute(target).invert_unit()
     u = g - TruncatedSeries.one(p, M, N)
-    logg = _log_one_plus(u)
-    out = []
-    for c in logg.coeffs:
-        if c % p:
-            raise AssertionError("log coefficients must be divisible by p (precision bug)")
-        out.append(c // p)
-    return TruncatedSeries(p, out, N - 1)
+    logg = log_one_plus(u)
+    if any(c % p for c in logg.coeffs):
+        raise AssertionError("log coefficients must be divisible by p (precision bug)")
+    return TruncatedSeries(p, [c // p for c in logg.coeffs], N - 1)
 
 
 def omega_like(p: int, trunc: int) -> list[int]:
@@ -113,11 +78,8 @@ def delta_n(f: TruncatedSeries, n: int) -> PadicNumber:
         raise ValueError("need n >= 1")
     if f.trunc < n + 1:
         raise ValueError("truncation exhausted: need trunc >= n+1")
-    return measures.moment(f.d_operator() * _shrink(f.invert_unit(), f.trunc - 1), n - 1)
-
-
-def _shrink(f: TruncatedSeries, new_trunc: int) -> TruncatedSeries:
-    return TruncatedSeries(f.prime, f.coeffs[:new_trunc], f.prec)
+    inv = TruncatedSeries(f.prime, f.invert_unit().coeffs[: f.trunc - 1], f.prec)
+    return measures.moment(f.d_operator() * inv, n - 1)
 
 
 def lambda_unit_measure(a: int, b: int, p: int, trunc: int, prec: int) -> TruncatedSeries:

@@ -176,7 +176,7 @@ def _mu_level_sums(chi: DirichletCharacter, r: int, prec: int):
         e = chi.exponent(a)
         slot = buckets.setdefault(a % pr, {})
         slot[e] = slot.get(e, 0) + a
-    rational = all(e == 0 or 2 * e == p - 1 for e in _exponent_range(chi))
+    rational = all(e == 0 or 2 * e == p - 1 for e in chi.exponents.values())
     half = (p - 1) // 2
     zpow = teichmuller_table(p, prec + r).zeta_pow
     check = not chi.is_trivial()
@@ -190,10 +190,6 @@ def _mu_level_sums(chi: DirichletCharacter, r: int, prec: int):
             raise AssertionError("nontrivial character produced a non-integral coefficient")
         sums.append((pow(c, -1, pr), acc))
     return rational, sums
-
-
-def _exponent_range(chi: DirichletCharacter):
-    return set(chi.exponents.values())
 
 
 def h_element(N: int, r: int, p: int) -> GroupRingElement:
@@ -243,6 +239,10 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     integer lift a * omega(a)^(-1) mod p^K, while `interp_check` evaluates on
     the gamma-power lift gamma^(ks) of <a> = gamma^k mod p^r.  Both are
     reported to the requested precision and agree modulo p^r.
+
+    Every <a>^s is one modular power with the exponent's integer lift, as in
+    `unit_power`.  A p-adic s known mod p^B moves the term of a by
+    p^(B + v_p(<a> - 1) + v_p(coeff)), which caps the reported precision.
     """
     _p_power_level(x.modulus, p)
     res, shift, window = _coeff_residues(x, p, prec)
@@ -251,21 +251,22 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     tables = teichmuller_table(p, K)
     s = spec.wild_exponent
     i = spec.teich_exponent % (p - 1)
-    s_int = isinstance(s, int)
-    if s_int:
-        s_red = s % p ** max(K - 1, 1)
+    padic_s = not isinstance(s, int) and not s.is_zero
+    if padic_s and s.valuation < 0:
+        raise ValueError("exponent must lie in Z_p")
+    s_red = (int(s.lift()) if isinstance(s, PadicNumber) else s) % p ** max(K - 1, 1)
     acc = 0
     for a, num in res.items():
         abar = a % p
         w = tables.zeta_pow[(i * tables.ind[abar]) % (p - 1)]
         u = a * tables.teich_inv[abar] % pK
-        if s_int:
-            ks = pow(u, s_red, pK)
-        else:
-            ks_p = unit_power(PadicNumber(p, 0, u, K), s)
-            ks = ks_p.mantissa % pK if not ks_p.is_zero else 0
-        acc = (acc + num * w % pK * ks) % pK
+        acc = (acc + num * w % pK * pow(u, s_red, pK)) % pK
     absprec = min(prec, window - shift) if window is not None else prec
+    if padic_s:
+        for a, num in res.items():
+            d = a * tables.teich_inv[a % p] % pK - 1
+            if num and d:
+                absprec = min(absprec, s.abs_precision + int_vp(d, p) + int_vp(num, p) - shift)
     if absprec < 1:
         raise ValueError("coefficients carry too little precision for this evaluation")
     return from_rational_abs(Fraction(acc, p**shift), p, absprec)

@@ -15,23 +15,27 @@ moments to full p-precision N should choose M >= n + N*(p-1).
 
 from __future__ import annotations
 
-from math import comb
-
 from .iwaseries import TruncatedSeries, binomial_row, inverse_taylor_shift, taylor_shift
-from .padic import PadicNumber, padic_binomial
+from .padic import PadicNumber, int_vp
 
 
 def dirac(a, p: int = None, trunc: int = None, prec: int = None) -> TruncatedSeries:
-    """The Dirac measure at a, i.e. the series (1+T)^a = sum binom(a, n) T^n."""
+    """The Dirac measure at a, i.e. the series (1+T)^a = sum binom(a, n) T^n.
+
+    A p-adic point known mod p^k is read on its integer lift, and the row is
+    certified mod p^(k - floor(log_p(trunc - 1))): C(a+h, n) - C(a, n) is
+    divisible by p^(v_p(h) - floor(log_p n)).
+    """
     if isinstance(a, PadicNumber):
         p = a.prime
-        if a.valuation is not None and a.valuation < 0:
-            raise ValueError("Dirac point must lie in Z_p")
-        coeffs = []
-        for n in range(trunc):
-            b = padic_binomial(a, n)
-            coeffs.append(0 if b.is_zero else int(b.lift() % p**prec))
-        return TruncatedSeries(p, coeffs, prec)
+        if not a.is_zero:
+            if a.valuation < 0:
+                raise ValueError("Dirac point must lie in Z_p")
+            # floor(log_p(trunc - 1)) is the largest v_p(n) over 0 < n < trunc
+            prec = min(prec, a.abs_precision - max((int_vp(n, p) for n in range(1, trunc)), default=0))
+            if prec < 1:
+                raise ValueError(f"a point known mod {p}^{a.abs_precision} certifies no digit of {trunc} Dirac coefficients")
+        a = int(a.lift())
     if a != int(a):
         raise ValueError("Dirac point must be an integer or a PadicNumber")
     return TruncatedSeries(p, binomial_row(int(a), trunc), prec)
@@ -63,23 +67,17 @@ def mahler_pairing(g: TruncatedSeries, mahler_coeffs) -> PadicNumber:
         raise ValueError("more Mahler coefficients than known series coefficients")
     total = PadicNumber.zero(g.prime)
     for n, a in enumerate(mahler_coeffs):
-        b = g.coeff(n)
-        if isinstance(a, PadicNumber):
-            term = a * b
-        else:
-            term = b * a
-        total = total + term
+        total = total + g.coeff(n) * a
     return total
 
 
 def mahler_of_monomial(n: int, length: int) -> list[int]:
     """Mahler coefficients of x -> x^n via iterated finite differences at 0."""
+    values = [x**n for x in range(length)]
     out = []
-    for k in range(length):
-        if k > n:
-            out.append(0)
-            continue
-        out.append(sum((-1) ** (k - i) * comb(k, i) * i**n for i in range(k + 1)))
+    for _ in range(length):
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
     return out
 
 

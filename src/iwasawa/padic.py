@@ -4,7 +4,9 @@ Values are stored in floating style as p^valuation * mantissa with the
 mantissa a unit known modulo p^precision, so elements of negative valuation
 (Stickelberger denominators) are first class.  Exact zero is a distinguished
 state.  All values are immutable; operations return new numbers and track
-precision loss on cancellation conservatively.
+precision loss on cancellation conservatively.  Powers u^s and Teichmuller
+lifts are one modular `pow` on integer lifts, and `plog` runs on the series
+logarithm `iwaseries.log_one_plus`; each reports only the digits it certifies.
 """
 
 from __future__ import annotations
@@ -270,18 +272,13 @@ def vp_diff(x: PadicNumber, y) -> float:
 
 
 def teichmuller(a: int, p: int, prec: int) -> PadicNumber:
-    """The (p-1)-th root of unity congruent to a mod p, via x -> x^p iteration."""
+    """The (p-1)-th root of unity congruent to a mod p: a^(p^(prec-1)) mod p^prec."""
     _check_odd_prime(p)
     if a % p == 0:
         raise PadicError("argument divisible by p has no Teichmuller lift")
-    m = p**prec
-    x = a % m
-    for _ in range(prec):
-        nxt = pow(x, p, m)
-        if nxt == x:
-            break
-        x = nxt
-    return PadicNumber(p, 0, x, prec)
+    if prec < 1:
+        raise PadicError("precision must be >= 1")
+    return PadicNumber(p, 0, pow(a, p ** (prec - 1), p**prec), prec)
 
 
 def decompose_unit(z: PadicNumber):
@@ -296,21 +293,17 @@ def decompose_unit(z: PadicNumber):
 
 
 def plog(u: PadicNumber) -> PadicNumber:
-    """Logarithm on 1 + pZ_p; returns an element of pZ_p."""
+    """Logarithm on 1 + pZ_p; returns an element of pZ_p known to the absolute
+    precision of u (log is an isometry there for odd p).  The kernel is
+    `iwaseries.log_one_plus` on a one-coefficient series."""
+    from .iwaseries import TruncatedSeries, log_one_plus  # iwaseries imports this module
+
     p = u.prime
     if u.is_zero or u.valuation != 0 or u.mantissa % p != 1:
         raise PadicError("plog requires an argument in 1 + pZ_p")
-    x = u - 1
-    if x.is_zero:
-        return PadicNumber.zero(p)
-    absprec = x.abs_precision
-    big = x.lift()
-    total = Fraction(0)
-    n = 1
-    while n * x.valuation - _ilog(n, p) < absprec + 1:
-        total += Fraction((-1) ** (n + 1), n) * big**n
-        n += 1
-    return from_rational_abs(total, p, absprec)
+    absprec = u.abs_precision
+    (c,) = log_one_plus(TruncatedSeries(p, [u.mantissa - 1], absprec)).coeffs
+    return from_rational_abs(Fraction(c), p, absprec)
 
 
 def pexp(x: PadicNumber) -> PadicNumber:
@@ -333,14 +326,28 @@ def pexp(x: PadicNumber) -> PadicNumber:
 
 
 def unit_power(u: PadicNumber, s) -> PadicNumber:
-    """u^s for u in 1+pZ_p and s in Z_p, via pexp(s*plog(u))."""
+    """u^s for u in 1+pZ_p and s in Z_p.
+
+    A p-adic s is read on the integer lifts U and S of u and s: u^s is
+    U^(S mod p^(K-1)) mod p^K, since U^(p^(K-1)) = 1 mod p^K, with
+    K = min(A + v_p(s), B + v_p(u-1)) for A and B the absolute precisions of
+    u and s (v_p(u-1) read as A when u = 1 + O(p^A)).  Moving u by p^A moves
+    s log u by p^(A+v_p(s)), moving s by p^B moves it by p^(B+v_p(u-1)), and
+    exp is an isometry on pZ_p.
+    """
     if isinstance(s, int):
         return u**s
+    p = u.prime
     if s.is_zero:
-        return PadicNumber.one(u.prime, u.precision)
+        return PadicNumber.one(p, u.precision)
     if s.valuation < 0:
         raise PadicError("exponent must lie in Z_p")
-    return pexp(s * plog(u))
+    if u.is_zero or u.valuation != 0 or u.mantissa % p != 1:
+        raise PadicError("unit_power requires a base in 1 + pZ_p")
+    A = u.precision
+    K = min(A + s.valuation, s.abs_precision + (int_vp(u.mantissa - 1, p) if u.mantissa != 1 else A))
+    S = s.mantissa * p**s.valuation % p ** (K - 1)
+    return PadicNumber(p, 0, pow(u.mantissa, S, p**K), K)
 
 
 def padic_binomial(x, n: int, p: int = None, prec: int = None) -> PadicNumber:
@@ -369,13 +376,6 @@ def padic_binomial(x, n: int, p: int = None, prec: int = None) -> PadicNumber:
 
 
 # -- internal helpers ------------------------------------------------------
-
-
-def _ilog(n: int, p: int) -> int:
-    v = 0
-    while p**(v + 1) <= n:
-        v += 1
-    return v
 
 
 def from_rational_abs(q: Fraction, p: int, absprec: int) -> PadicNumber:
