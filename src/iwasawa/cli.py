@@ -62,8 +62,13 @@ def _json_safe(x):
 
 
 def cmd_bernoulli(cfg: RunConfig, upto: int) -> int:
+    limit = exactq.first_unprintable_index()
+    if upto > limit:
+        raise ValueError(f"--upto {upto} reaches B_{limit}, whose numerator has more than "
+                         f"{exactq.PRINTABLE_DIGITS} digits; use --upto {limit} or less")
     rows = [["n", "B_n", "zeta(1-n)"]]
     indices = [0, 1] + [n for n in range(2, upto, 2)]
+    exactq.bernoulli(indices[-1])  # one cache build to the last index, not doublings past it
     for n in indices:
         zeta = str(exactq.zeta_neg(n)) if n >= 1 else "-"
         rows.append([n, str(exactq.bernoulli(n)), zeta])

@@ -1,6 +1,7 @@
 """Exact rational Bernoulli/zeta machinery and the classical congruences.
 
-Everything here is computed in exact arithmetic (Fraction / big integers);
+Everything here is computed in exact arithmetic (Fraction / big integers),
+except the size estimate behind the printable bound `first_unprintable_index`;
 p-adic reduction happens only in the callers.  The Bernoulli convention is
 the one with B_1 = +1/2 throughout.
 """
@@ -11,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt, lgamma, log, pi
 
 from .padic import _check_odd_prime, int_vp
 
@@ -72,6 +73,32 @@ _DEFAULT_CACHE = BernoulliCache()
 def bernoulli(n: int) -> Fraction:
     """B_n with B_1 = +1/2; zero for odd n > 1."""
     return _DEFAULT_CACHE.value(n)
+
+
+# CPython refuses to print an int of more decimal digits than this
+# (sys.int_info.default_max_str_digits).
+PRINTABLE_DIGITS = 4300
+
+
+def numerator_log10(n: int) -> float:
+    """log10 of the numerator of B_n for even n >= 2, without computing B_n.
+
+    |B_n| = 2 n! zeta(n) / (2 pi)^n, with zeta(n) taken as 1 (it is within
+    4^(-n/2) of 1), and the denominator is the product of the primes q with
+    (q - 1) | n (von Staudt-Clausen).
+    """
+    divisors = {e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
+    primes = [d + 1 for d in divisors if all((d + 1) % q for q in range(2, isqrt(d + 1) + 1))]
+    return (log(2) + lgamma(n + 1) - n * log(2 * pi) + sum(map(log, primes))) / log(10)
+
+
+@lru_cache(maxsize=None)
+def first_unprintable_index() -> int:
+    """The least n whose B_n has a numerator of more than PRINTABLE_DIGITS digits."""
+    n = 2
+    while numerator_log10(n) < PRINTABLE_DIGITS:
+        n += 2
+    return n
 
 
 @lru_cache(maxsize=64)

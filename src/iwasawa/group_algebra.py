@@ -1,20 +1,24 @@
 """Group rings over (Z/m)^x: Stickelberger elements, finite-level p-adic
 L-elements, idempotents, character evaluation and the interpolation checks.
 
-Coefficients stay exact rationals as long as possible (Stickelberger
-denominators 1/(N p^r) would otherwise force negative-valuation bookkeeping
-everywhere); p-adic digits appear when a character with irrational values (a
-nontrivial Teichmuller power) enters a coefficient.  When a character is
-evaluated, or a component series taken, the coefficients first become
-integer residues c * p^shift mod p^(prec+shift) (see `_coeff_residues`).
+An element is integer numerators keyed by unit residue over one positive
+denominator, with a window: None when exact (Stickelberger elements, h_N,
+mu_chi of a rational-valued chi), else w when the coefficients are known mod
+p^w (idempotents, h_N^(i), other mu_chi); then the denominator is a power of
+p.  Every operation runs on these integers and divides the common factor
+back out, so an integral element has denominator 1.  A product is known mod
+p^min(w_x + v(y), w_y + v(x)), v the least coefficient valuation and w
+infinite for an exact factor.  `coeffs` reads the coefficients as Fractions
+or PadicNumbers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf, lcm
 
 from . import exactq
 from .characters import (
@@ -27,69 +31,71 @@ from .characters import (
 from .iwaseries import TruncatedSeries, inverse_taylor_shift, taylor_shift
 from .padic import PadicNumber, from_rational_abs, int_vp, unit_power, vp_diff
 
-# the two coordinate kernels under the names the tests import
-_eval_tables = teichmuller_table
-_taylor_shift = taylor_shift
-
 
 class GroupRingElement:
-    """Element of Q[G_m] (or its p-adic counterpart), G_m = (Z/mZ)^x.
+    """sum_a num[a]/den sigma_a in Q[G_m] (or its p-adic counterpart), G_m =
+    (Z/mZ)^x, known mod prime^window unless window is None.  Built from a
+    dict of Fractions, ints or PadicNumbers keyed by the unit residue a."""
 
-    Coefficient values are Fractions or PadicNumbers, keyed by the unit
-    residue a indexing sigma_a.  Zero coefficients are dropped.
-    """
-
-    __slots__ = ("modulus", "coeffs")
+    __slots__ = ("modulus", "num", "den", "prime", "window")
 
     def __init__(self, modulus: int, coeffs: dict):
-        self.modulus = modulus
-        clean = {}
+        clean, prime, window = {}, None, inf
         for a, c in coeffs.items():
             a %= modulus
             if gcd(a, modulus) != 1:
                 raise ValueError(f"{a} is not a unit mod {modulus}")
-            if _is_zero_coeff(c):
-                continue
-            clean[a] = c
-        self.coeffs = clean
+            if isinstance(c, PadicNumber) and not c.is_zero:
+                prime, window = c.prime, min(window, c.abs_precision)
+            clean[a] = c.lift() if isinstance(c, PadicNumber) else Fraction(c)
+        den = lcm(*(c.denominator for c in clean.values()))
+        _normalize(self, modulus, {a: int(c * den) for a, c in clean.items()}, den, prime, window)
+
+    @property
+    def coeffs(self) -> Mapping:
+        """The coefficients as a read-only {a: Fraction} (exact) or
+        {a: PadicNumber} (windowed) mapping, computed on read."""
+        return _Coeffs(self)
+
+    def _coeff(self, n: int):
+        q = Fraction(n, self.den)
+        return q if self.window is None else from_rational_abs(q, self.prime, self.window)
 
     def __add__(self, other):
         if not isinstance(other, GroupRingElement) or other.modulus != self.modulus:
             return NotImplemented
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out[a] + c if a in out else c
-        return GroupRingElement(self.modulus, out)
+        den = lcm(self.den, other.den)
+        out = {a: n * (den // self.den) for a, n in self.num.items()}
+        for a, n in other.num.items():
+            out[a] = out.get(a, 0) + n * (den // other.den)
+        return _element(self.modulus, out, den, _common_prime(self, other), min(_w(self), _w(other)))
 
     def __neg__(self):
-        return GroupRingElement(self.modulus, {a: -c for a, c in self.coeffs.items()})
+        return _element(self.modulus, {a: -n for a, n in self.num.items()}, self.den, self.prime, self.window)
 
     def __sub__(self, other):
-        if not isinstance(other, GroupRingElement) or other.modulus != self.modulus:
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, GroupRingElement) else NotImplemented
 
     def __mul__(self, other):
         if not isinstance(other, GroupRingElement) or other.modulus != self.modulus:
             return NotImplemented
         m = self.modulus
-        out: dict[int, object] = {}
-        for a, c in self.coeffs.items():
-            for b, d in other.coeffs.items():
+        small, big = sorted((self.num, other.num), key=len)
+        out: dict[int, int] = {}
+        for a, c in small.items():
+            for b, d in big.items():
                 k = a * b % m
-                cd = c * d
-                out[k] = out[k] + cd if k in out else cd
-        return GroupRingElement(m, out)
+                out[k] = out.get(k, 0) + c * d
+        p = _common_prime(self, other)
+        window = min(_w(self) + _v(other, p), _w(other) + _v(self, p)) if p else None
+        return _element(m, out, self.den * other.den, p, window)
 
     def scalar_mul(self, s) -> "GroupRingElement":
-        return GroupRingElement(self.modulus, {a: c * s for a, c in self.coeffs.items()})
+        return self * GroupRingElement(self.modulus, {1: s})
 
     def mass(self):
         """Sum of all coefficients (the image under the trivial character)."""
-        total = Fraction(0)
-        for c in self.coeffs.values():
-            total = c + total
-        return total
+        return self._coeff(sum(self.num.values()))
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -97,14 +103,63 @@ class GroupRingElement:
         return self.modulus == other.modulus and self.coeffs == other.coeffs
 
     def __repr__(self):
-        n = len(self.coeffs)
-        return f"<group ring element mod {self.modulus} with {n} terms>"
+        return f"<group ring element mod {self.modulus} with {len(self.num)} terms>"
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, PadicNumber):
-        return c.is_zero
-    return c == 0
+class _Coeffs(Mapping):
+    """The coefficients of an element, computed on read."""
+
+    def __init__(self, x: GroupRingElement):
+        self._x = x
+
+    def __getitem__(self, a):
+        return self._x._coeff(self._x.num[a])
+
+    def __iter__(self):
+        return iter(self._x.num)
+
+    def __len__(self):
+        return len(self._x.num)
+
+
+def _normalize(x, modulus, num, den, prime, window):
+    """Set x to sum num[a]/den sigma_a (mod prime^window), common factor removed."""
+    if window in (None, inf):
+        prime = window = None
+    if window is None:
+        g = gcd(den, *num.values())
+        num = {a: n // g for a, n in num.items() if n}
+        den //= g
+    else:
+        e = int_vp(den, prime)
+        mod = prime ** max(window + e, 0)
+        inv = pow(den // prime**e, -1, mod)
+        num = {a: r for a, n in num.items() if (r := n * inv % mod)}
+        g = gcd(prime**e, *num.values())
+        num = {a: n // g for a, n in num.items()}
+        den = prime**e // g
+    x.modulus, x.num, x.den, x.prime, x.window = modulus, num, den, prime, window
+
+
+def _element(modulus, num, den=1, prime=None, window=None) -> GroupRingElement:
+    x = object.__new__(GroupRingElement)
+    _normalize(x, modulus, num, den, prime, window)
+    return x
+
+
+def _common_prime(x, y):
+    if x.prime and y.prime and x.prime != y.prime:
+        raise ValueError("elements known modulo powers of different primes")
+    return x.prime or y.prime
+
+
+def _w(x):
+    return inf if x.window is None else x.window
+
+
+def _v(x, p):
+    """Least valuation of the coefficients of x (its window when it has none)."""
+    return int_vp(gcd(*x.num.values()), p) - int_vp(x.den, p) if x.num else _w(x)
 
 
 # -- Stickelberger elements and projections ---------------------------------
@@ -114,22 +169,18 @@ def stickelberger(m: int) -> GroupRingElement:
     """Sigma_m = -(1/m) sum over units a of a * sigma_a^(-1), exact rationals."""
     if m < 2:
         raise ValueError("need m >= 2")
-    coeffs = {}
-    for a in range(1, m):
-        if gcd(a, m) == 1:
-            coeffs[pow(a, -1, m)] = Fraction(-a, m)
-    return GroupRingElement(m, coeffs)
+    return _element(m, {pow(a, -1, m): -a for a in range(1, m) if gcd(a, m) == 1}, m)
 
 
 def project(x: GroupRingElement, new_modulus: int) -> GroupRingElement:
     """Pushforward along sigma_a -> sigma_(a mod m'), coefficients summed on fibers."""
     if x.modulus % new_modulus != 0:
         raise ValueError("target modulus must divide the source modulus")
-    out: dict[int, object] = {}
-    for a, c in x.coeffs.items():
+    out: dict[int, int] = {}
+    for a, n in x.num.items():
         k = a % new_modulus
-        out[k] = out[k] + c if k in out else c
-    return GroupRingElement(new_modulus, out)
+        out[k] = out.get(k, 0) + n
+    return _element(new_modulus, out, x.den, x.prime, x.window)
 
 
 # -- finite-level p-adic L-elements ------------------------------------------
@@ -140,24 +191,20 @@ def mu_chi_level(chi: DirichletCharacter, r: int, prec: int = 20) -> GroupRingEl
 
     For nontrivial chi every coefficient lands in Z_p (checked); for the
     trivial character of conductor 1 the coefficients have valuation >= -r
-    (the pseudo-measure case).  Rational-valued characters give exact
-    Fraction coefficients.
+    (the pseudo-measure case).  Exact for a rational-valued chi, else mod p^prec.
     """
     rational, sums = _mu_level_sums(chi, r, prec)
-    p, den = chi.prime, chi.modulus * chi.prime**r
-    coeffs: dict[int, object] = {}
-    for key, acc in sums:
-        val = Fraction(-acc, den)
-        coeffs[key] = val if rational else from_rational_abs(val, p, prec)
-    return GroupRingElement(p**r, coeffs)
+    pr = chi.prime**r
+    return _element(pr, {b: -acc for b, acc in sums}, chi.modulus * pr, chi.prime, None if rational else prec)
 
 
 def _mu_level_sums(chi: DirichletCharacter, r: int, prec: int):
     """The bucket loop behind mu_chi_level: (rational, [(b, A), ...]) with
     mu_chi at level r equal to sum_b -A/(N p^r) sigma_b.
 
-    A is exact when chi is rational-valued, else known modulo p^(prec+r).
-    For nontrivial chi every A is divisible by p^r (checked).
+    A is the sum of a chi(a) over 0 < a <= N p^r with a = b^(-1) mod p^r:
+    exact when chi is rational-valued, else known modulo p^(prec+r).  For
+    nontrivial chi every A is divisible by p^r (checked).
     """
     p = chi.prime
     N = chi.modulus
@@ -168,56 +215,37 @@ def _mu_level_sums(chi: DirichletCharacter, r: int, prec: int):
     if r < 1:
         raise ValueError("need r >= 1")
     pr = p**r
-    top = N * pr
-    buckets: dict[int, dict[int, int]] = {}
-    for a in range(1, top + 1):
-        if gcd(a, N * p) != 1:
-            continue
-        e = chi.exponent(a)
-        slot = buckets.setdefault(a % pr, {})
-        slot[e] = slot.get(e, 0) + a
-    rational = all(e == 0 or 2 * e == p - 1 for e in chi.exponents.values())
-    half = (p - 1) // 2
-    zpow = teichmuller_table(p, prec + r).zeta_pow
-    check = not chi.is_trivial()
-    sums = []
-    for c, slot in buckets.items():
-        if rational:
-            acc = slot.get(0, 0) - slot.get(half, 0)
-        else:
-            acc = sum(zpow[e] * s for e, s in slot.items())
-        if check and acc % pr:
-            raise AssertionError("nontrivial character produced a non-integral coefficient")
-        sums.append((pow(c, -1, pr), acc))
-    return rational, sums
+    exps = chi.exponents
+    rational = all(e == 0 or 2 * e == p - 1 for e in exps.values())
+    weight = list(teichmuller_table(p, prec + r).zeta_pow)
+    weight[(p - 1) // 2] = -1  # chi(a) exactly where it is rational
+    sums: dict[int, int] = {}
+    for a in range(1, N * pr + 1):
+        e = exps.get(a % N) if a % p else None
+        if e is not None:
+            sums[a % pr] = sums.get(a % pr, 0) + a * weight[e]
+    if not chi.is_trivial() and any(acc % pr for acc in sums.values()):
+        raise AssertionError("nontrivial character produced a non-integral coefficient")
+    return rational, [(pow(c, -1, pr), acc) for c, acc in sums.items()]
 
 
 def h_element(N: int, r: int, p: int) -> GroupRingElement:
     """h_N = 1 - (1+Np) sigma_(1+Np)^(-1) at level r."""
-    pr = p**r
-    key = pow(1 + N * p, -1, pr)
-    coeffs = {1: Fraction(1)}
-    coeffs[key] = coeffs.get(key, Fraction(0)) - (1 + N * p)
-    return GroupRingElement(pr, coeffs)
+    pr, u = p**r, 1 + N * p
+    return _element(pr, {1: 1}) - _element(pr, {pow(u, -1, pr): u})
 
 
 def idempotent(i: int, r: int, p: int, prec: int = 20) -> GroupRingElement:
     """e_(omega^i) = (1/(p-1)) sum_c omega^i(c)^(-1) delta_c at level r."""
-    keys = teichmuller_table(p, r).zeta_pow
     zeta_pow = teichmuller_table(p, prec).zeta_pow
-    coeffs = {
-        key: PadicNumber(p, 0, zeta_pow[-i * k % (p - 1)], prec) / (p - 1)
-        for k, key in enumerate(keys)
-    }
-    return GroupRingElement(p**r, coeffs)
+    num = {key: zeta_pow[-i * k % (p - 1)] for k, key in enumerate(teichmuller_table(p, r).zeta_pow)}
+    return _element(p**r, num, p - 1, p, prec)
 
 
 def h_i_element(N: int, i: int, r: int, p: int, prec: int = 20) -> GroupRingElement:
     """h_N^(i) = 1 - (1+Np) e_(omega^i) sigma_(1+Np)^(-1) at level r."""
-    pr = p**r
-    one = GroupRingElement(pr, {1: Fraction(1)})
-    sig_inv = GroupRingElement(pr, {pow(1 + N * p, -1, pr): Fraction(1)})
-    return one - (idempotent(i, r, p, prec) * sig_inv).scalar_mul(1 + N * p)
+    pr, u = p**r, 1 + N * p
+    return _element(pr, {1: 1}) - idempotent(i, r, p, prec) * _element(pr, {pow(u, -1, pr): u})
 
 
 # -- character evaluation -----------------------------------------------------
@@ -234,18 +262,15 @@ class PadicCharSpec:
 def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 20) -> PadicNumber:
     """sum_a coeff(a) * omega^i(a) * <a>^s for an element at level p^r.
 
-    This is the reference path for arbitrary elements.  The value of a
-    level-r element is canonical only modulo p^r: here <a>^s is taken on the
-    integer lift a * omega(a)^(-1) mod p^K, while `interp_check` evaluates on
-    the gamma-power lift gamma^(ks) of <a> = gamma^k mod p^r.  Both are
-    reported to the requested precision and agree modulo p^r.
-
-    Every <a>^s is one modular power with the exponent's integer lift, as in
-    `unit_power`.  A p-adic s known mod p^B moves the term of a by
+    The reference path for arbitrary elements, canonical only modulo p^r:
+    <a>^s is one modular power of the integer lift a * omega(a)^(-1) mod p^K
+    with the exponent's integer lift, while `interp_check` evaluates on the
+    gamma-power lift gamma^(ks) of <a> = gamma^k mod p^r; both agree modulo
+    p^r.  A p-adic s known mod p^B moves the term of a by
     p^(B + v_p(<a> - 1) + v_p(coeff)), which caps the reported precision.
     """
     _p_power_level(x.modulus, p)
-    res, shift, window = _coeff_residues(x, p, prec)
+    shift = int_vp(x.den, p)
     K = prec + shift
     pK = p**K
     tables = teichmuller_table(p, K)
@@ -256,16 +281,17 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
         raise ValueError("exponent must lie in Z_p")
     s_red = (int(s.lift()) if isinstance(s, PadicNumber) else s) % p ** max(K - 1, 1)
     acc = 0
-    for a, num in res.items():
+    for a, num in x.num.items():
         abar = a % p
         w = tables.zeta_pow[(i * tables.ind[abar]) % (p - 1)]
         u = a * tables.teich_inv[abar] % pK
         acc = (acc + num * w % pK * pow(u, s_red, pK)) % pK
-    absprec = min(prec, window - shift) if window is not None else prec
+    acc = acc * pow(x.den // p**shift, -1, pK) % pK
+    absprec = prec if x.window is None else min(prec, x.window)
     if padic_s:
-        for a, num in res.items():
+        for a, num in x.num.items():
             d = a * tables.teich_inv[a % p] % pK - 1
-            if num and d:
+            if d:
                 absprec = min(absprec, s.abs_precision + int_vp(d, p) + int_vp(num, p) - shift)
     if absprec < 1:
         raise ValueError("coefficients carry too little precision for this evaluation")
@@ -273,42 +299,10 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
 
 
 def _p_power_level(m: int, p: int) -> int:
-    r = 0
-    while m % p == 0:
-        m //= p
-        r += 1
-    if m != 1 or r < 1:
+    r = int_vp(m, p)
+    if r < 1 or m != p**r:
         raise ValueError("element must live at a level p^r, r >= 1")
     return r
-
-
-def _coeff_residues(x: GroupRingElement, p: int, prec: int):
-    """Coefficients as integers: (res, shift, window) with
-    res[a] = coeff(a) * p^shift mod p^(prec+shift).
-
-    shift clears every p from the denominators; window bounds the absolute
-    precision of res (None when every coefficient is exact).  The valuation
-    and inverse of each distinct Fraction denominator are computed once.
-    """
-    dens = {}  # Fraction denominator -> its p-valuation
-    shift = 0
-    window = None
-    for c in x.coeffs.values():
-        if isinstance(c, PadicNumber):
-            shift = max(shift, -c.valuation)
-            window = c.abs_precision if window is None else min(window, c.abs_precision)
-        elif c.denominator not in dens:
-            dens[c.denominator] = e = int_vp(c.denominator, p)
-            shift = max(shift, e)
-    pK = p ** (prec + shift)
-    scale = {d: p ** (shift - e) * pow(d // p**e, -1, pK) for d, e in dens.items()}
-    res = {}
-    for a, c in x.coeffs.items():
-        if isinstance(c, PadicNumber):
-            res[a] = c.mantissa * p ** (c.valuation + shift) % pK
-        else:
-            res[a] = c.numerator * scale[c.denominator] % pK
-    return res, shift, (window + shift if window is not None else None)
 
 
 # -- level tables: Z_p[(Z/p^r)^x] = Z_p[Delta][T]/(omega_(r-1)), gamma = 1+p ---
@@ -330,28 +324,39 @@ def _level_index(p: int, r: int) -> list[int]:
     return pos
 
 
+def _layout(x: GroupRingElement, p: int, r: int, e: int, K: int) -> list[int]:
+    """x at level r as a level table: entry pos[a] (see `_level_index`) is
+    coeff(a) * p^e mod p^K, for e at least the p-valuation of the denominator."""
+    shift = int_vp(x.den, p)
+    pK = p**K
+    scale = p ** (e - shift) * pow(x.den // p**shift, -1, pK)
+    pos = _level_index(p, r)
+    table = [0] * ((p - 1) * p ** (r - 1))
+    for a, n in x.num.items():
+        table[pos[a]] = n * scale % pK
+    return table
+
+
 @lru_cache(maxsize=16)
 def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> tuple[int, ...]:
     """h_N mu_chi at level r as a level table, integers mod p^(prec+r) over p^r.
 
-    Entry t p^(r-1) + k is the coefficient of zeta^t gamma^k (see
-    `_level_index`).  Built from the bucket sums of mu_chi_level; h_N =
-    1 - (1+Np) sigma_(1+Np)^(-1) shifts the k axis by k0 = dlog_gamma(1+Np).
-    Cached by the whole character (its exponent table), r and prec.
+    The layout of mu_chi_level times the terms c sigma_g of h_element: each g
+    is a principal unit gamma^k_g, so its term adds c times every row rotated
+    by k_g along the k axis (no group-ring product is built).  Cached by the
+    whole character (its exponent table), r and prec.
     """
     chi = DirichletCharacter(N, p, dict(exponents))
     pK, d = p ** (prec + r), p ** (r - 1)
-    pos = _level_index(p, r)
-    flat = [0] * ((p - 1) * d)
-    scale = -pow(N, -1, pK)
-    for b, acc in _mu_level_sums(chi, r, prec)[1]:
-        flat[pos[b]] = acc * scale % pK
-    u = 1 + N * p
-    k0 = pos[u % p**r]
+    flat = _layout(mu_chi_level(chi, r, prec), p, r, r, prec + r)
+    turns = [(c, d - _level_index(p, r)[g]) for g, c in h_element(N, r, p).num.items()]
     table = []
     for t in range(p - 1):
         row = flat[t * d : (t + 1) * d]
-        table += [(x - u * y) % pK for x, y in zip(row, row[k0:] + row[:k0])]
+        acc = [0] * d
+        for c, k in turns:
+            acc = [v + c * y for v, y in zip(acc, row[k:] + row[:k])]
+        table += [v % pK for v in acc]
     return tuple(table)
 
 
@@ -452,8 +457,7 @@ def interp_check(
 
 def mu1_at_omega(i: int, p: int, prec: int = 20) -> PadicNumber:
     """The level-1 Stickelberger image under omega^i; equals -B_(1, omega^(-i))."""
-    sigma_p = stickelberger(p)
-    return evaluate_char(sigma_p, PadicCharSpec(i, 0), p, prec)
+    return evaluate_char(stickelberger(p), PadicCharSpec(i, 0), p, prec)
 
 
 @dataclass(frozen=True)
@@ -543,12 +547,9 @@ def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> Tru
     precision.
     """
     r = _p_power_level(x.modulus, p)
-    res, shift, _ = _coeff_residues(x, p, prec)
+    shift = int_vp(x.den, p)
     K = prec + shift
-    pos = _level_index(p, r)
-    table = [0] * ((p - 1) * p ** (r - 1))
-    for a, num in res.items():
-        table[pos[a]] = num
+    table = _layout(x, p, r, shift, K)
     coeffs = []
     pshift = p**shift
     for v in taylor_shift(_branch(table, i, p, K), p**K):
@@ -562,11 +563,9 @@ def reassemble_components(comps: dict[int, TruncatedSeries], p: int, r: int, pre
     """Inverse of component_series summed over all branches (test helper):
     each series, written in X = 1 + T by the inverse Taylor shift, puts h_k on gamma^k."""
     pr = p**r
-    total = GroupRingElement(pr, {})
+    total = _element(pr, {})
     for i, series in comps.items():
-        h = TruncatedSeries(p, inverse_taylor_shift(series.coeffs, p**series.prec), series.prec)
-        poly = GroupRingElement(pr, {})
-        for k in range(h.trunc):
-            poly = poly + GroupRingElement(pr, {pow(1 + p, k, pr): h.coeff(k)})
+        h = inverse_taylor_shift(series.coeffs, p**series.prec)
+        poly = _element(pr, {pow(1 + p, k, pr): c for k, c in enumerate(h)}, 1, p, series.prec)
         total = total + idempotent(i, r, p, prec) * poly
     return total

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iwasawa import cli
+from iwasawa import cli, exactq
 from iwasawa.iwaseries import TruncatedSeries
 
 SERIES = "5 6 4\n1:1\n0:3\n0:1\n0:0\n2:1\n0:4\n"  # 5 + 3T + T^2 + 25T^4 + 4T^5
@@ -57,6 +57,17 @@ def test_bad_files_and_levels_exit_2(tmp_path, argv, name, text):
 def test_eigenspace_checks_its_prime(p):
     code, out, err = _run(["eigenspace", "-p", p])
     assert code == 2 and err.startswith("error:") and "pass: True" not in out
+
+
+def test_bernoulli_upto_stays_printable_and_is_refused_before_any_work(monkeypatch):
+    def refuse(n):
+        raise AssertionError("a Bernoulli number was computed")
+
+    limit = exactq.first_unprintable_index()
+    monkeypatch.setattr(exactq, "bernoulli", refuse)
+    for upto in (limit + 1, 2500, 10**9):
+        code, out, err = _run(["bernoulli", "--upto", str(upto)])
+        assert code == 2 and err.startswith("error:") and str(limit) in err and out == ""
 
 
 # -- strict JSON for every subcommand ------------------------------------------------

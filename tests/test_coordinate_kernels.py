@@ -57,7 +57,7 @@ def test_teichmuller_table_entries(p, K):
         omega = teichmuller(a, p, K).mantissa
         assert table.zeta_pow[table.ind[a]] == omega
         assert table.teich_inv[a] * omega % pK == 1
-    assert group_algebra._eval_tables(p, K) is table
+    assert group_algebra.teichmuller_table(p, K) is table
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 7, 40, 97])

@@ -11,16 +11,14 @@ from math import comb
 import pytest
 
 from iwasawa import exactq, measures
-from iwasawa.characters import DirichletCharacter, from_generator_data, quadratic_char
+from iwasawa.characters import DirichletCharacter, from_generator_data, quadratic_char, teichmuller_table
 from iwasawa.coleman import w_series
 from iwasawa.exactq import BernoulliCache, bernoulli, kummer_regularized_value
 from iwasawa.group_algebra import (
     GroupRingElement,
     PadicCharSpec,
-    _eval_tables,
     _level_index,
     _p_power_level,
-    _taylor_shift,
     branch_limit_index,
     branch_limit_oracle,
     branch_limit_regularized,
@@ -30,7 +28,7 @@ from iwasawa.group_algebra import (
     mu_chi_level,
     stickelberger,
 )
-from iwasawa.iwaseries import TruncatedSeries
+from iwasawa.iwaseries import TruncatedSeries, taylor_shift
 from iwasawa.padic import PadicNumber, from_rational_abs, int_vp, padic_binomial, unit_power
 
 
@@ -180,7 +178,7 @@ def _old_evaluate_char(x, spec, p, prec):
     norm, shift, window = _old_normalized_coeffs(x, p)
     K = prec + shift
     pK = p**K
-    tables = _eval_tables(p, K)
+    tables = teichmuller_table(p, K)
     s = spec.wild_exponent
     i = spec.teich_exponent % (p - 1)
     s_int = isinstance(s, int)
@@ -210,7 +208,7 @@ def _old_component_series(x, i, p, prec):
     norm, shift, _ = _old_normalized_coeffs(x, p)
     K = prec + shift
     pK = p**K
-    zeta_pow = _eval_tables(p, K).zeta_pow
+    zeta_pow = teichmuller_table(p, K).zeta_pow
     pos = _level_index(p, r)
     deg = p ** (r - 1)
     acc = [0] * deg
@@ -219,7 +217,7 @@ def _old_component_series(x, i, p, prec):
         acc[k] += _old_coeff_numerator(num_q, extra, p, pK) * zeta_pow[i * t % (p - 1)]
     coeffs = []
     pshift = p**shift
-    for v in _taylor_shift(acc, pK):
+    for v in taylor_shift(acc, pK):
         if v % pshift:
             raise ValueError("component has a non-integral coefficient at this precision")
         coeffs.append(v // pshift)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,3 +175,17 @@ def test_irregular_indices():
 
 def test_euler_stripped_zeta():
     assert exactq.euler_stripped_zeta(2, 5) == (1 - 5) * Fraction(-1, 12)
+
+
+def test_numerator_digits_without_computing_bernoulli_numbers():
+    for n in range(2, 700, 2):
+        assert int(exactq.numerator_log10(n)) + 1 == len(str(abs(bernoulli(n).numerator))), n
+
+
+def test_first_unprintable_index():
+    # B_2062 has a numerator of exactly 4300 digits and B_2064 one of 4311
+    # (counted once with the int printing limit lifted)
+    assert exactq.first_unprintable_index() == 2064
+    assert [int(exactq.numerator_log10(n)) + 1 for n in (2062, 2064)] == [4300, 4311]
+    default = getattr(sys.int_info, "default_max_str_digits", exactq.PRINTABLE_DIGITS)
+    assert exactq.PRINTABLE_DIGITS == default

@@ -20,7 +20,6 @@ from iwasawa.characters import (
 )
 from iwasawa.group_algebra import (
     GroupRingElement,
-    _coeff_residues,
     _hmu_rows,
     _level_index,
     _mu_level_sums,
@@ -32,7 +31,7 @@ from iwasawa.group_algebra import (
     stickelberger,
 )
 from iwasawa.iwaseries import TruncatedSeries, binomial_row, nu_rm_poly, omega_poly, phi_poly, taylor_shift
-from iwasawa.padic import from_rational_abs
+from iwasawa.padic import PadicNumber, from_rational_abs, int_vp
 
 # -- substitution and the twist ---------------------------------------------------
 
@@ -197,6 +196,31 @@ def test_interp_lhs_matches_row_evaluation(p, chi, r):
             lhs = interp_check(chi, j, n, r, prec=prec).lhs
             ref = _evaluate_rows(rows, (1 - n - j) % (p - 1), 1 - n, p, r, prec)
             assert _digits(lhs) == _digits(ref), (j, n)
+
+
+def _coeff_residues(x: GroupRingElement, p: int, prec: int):
+    """The former coefficient residues: (res, shift, window) with
+    res[a] = coeff(a) * p^shift mod p^(prec+shift), read from the Fractions
+    and PadicNumbers of x.coeffs."""
+    dens = {}  # Fraction denominator -> its p-valuation
+    shift = 0
+    window = None
+    for c in x.coeffs.values():
+        if isinstance(c, PadicNumber):
+            shift = max(shift, -c.valuation)
+            window = c.abs_precision if window is None else min(window, c.abs_precision)
+        elif c.denominator not in dens:
+            dens[c.denominator] = e = int_vp(c.denominator, p)
+            shift = max(shift, e)
+    pK = p ** (prec + shift)
+    scale = {d: p ** (shift - e) * pow(d // p**e, -1, pK) for d, e in dens.items()}
+    res = {}
+    for a, c in x.coeffs.items():
+        if isinstance(c, PadicNumber):
+            res[a] = c.mantissa * p ** (c.valuation + shift) % pK
+        else:
+            res[a] = c.numerator * scale[c.denominator] % pK
+    return res, shift, (window + shift if window is not None else None)
 
 
 def _bucket_component(x: GroupRingElement, i: int, p: int, prec: int) -> tuple[int, ...]:
