@@ -145,13 +145,17 @@ def cmd_growth(cfg: RunConfig, module_file: str, e: int, r_max: int) -> int:
 
 def _coleman_window(cfg: RunConfig, n_max: int) -> tuple[int, int]:
     """Series truncation M and p-adic precision N for moments up to n_max.
-    Each moment builds a measure whose Horner substitution does M products of
-    M coefficients mod p^N: windows whose n_max M^2 N log2(p) exceeds
-    MAX_COLEMAN_WORK are refused."""
+    One measure of M coefficients mod p^N serves every moment: windows whose
+    M^2 N log2(p) exceeds MAX_COLEMAN_WORK are refused.  Each moment then
+    costs one D step (n_max M N <= M^2 N, since M > n_max) and an exact B_n
+    reference, so n_max is held to the exact-Bernoulli budget as well."""
     M, N = max(cfg.trunc, n_max + (cfg.prec + 2) * (cfg.prime - 1) + 2), cfg.prec
-    if max(n_max, 1) * M * M * N * cfg.prime.bit_length() > MAX_COLEMAN_WORK:
-        raise ValueError(f"Coleman window (M, N) = ({M}, {N}) at p = {cfg.prime} for {n_max} moments "
-                         f"exceeds the work bound n_max M^2 N log2(p) <= {MAX_COLEMAN_WORK:.0e}")
+    if M * M * N * cfg.prime.bit_length() > MAX_COLEMAN_WORK:
+        raise ValueError(f"Coleman window (M, N) = ({M}, {N}) at p = {cfg.prime} "
+                         f"exceeds the work bound M^2 N log2(p) <= {MAX_COLEMAN_WORK:.0e}")
+    if n_max > group_algebra.BERNOULLI_INDEX_LIMIT:
+        raise ValueError(f"{n_max} moments exceed the work bound nmax <= "
+                         f"{group_algebra.BERNOULLI_INDEX_LIMIT} of exact B_n references")
     return M, N
 
 
@@ -165,8 +169,7 @@ def cmd_coleman(cfg: RunConfig, n_max: int, pairs: str, min_agree: int) -> int:
     rows = [["n", "pair", "moment/(b^n-a^n)", "reference", "agree_val"]]
     ok = True
     for a, b in pair_list:
-        for n in range(1, n_max + 1):
-            val = coleman.zeta_moment(n, a, b, p, M, N)
+        for n, val in enumerate(coleman.zeta_moments(range(1, n_max + 1), a, b, p, M, N), 1):
             ref = PadicNumber.from_rational(exactq.euler_stripped_zeta(n, p), p, N + 2)
             agree = vp_diff(val, ref)
             ok &= agree >= min_agree
@@ -191,12 +194,13 @@ def cmd_three(cfg: RunConfig, r: int, k: int, n_max: int) -> int:
     triv = DirichletCharacter.trivial(1, p)
     rows = [["n", "construction", "value", "agree_val", "min_agree"]]
     ok = True
-    for n in range(2, n_max + 1, 2):
+    evens = range(2, n_max + 1, 2)
+    group_algebra.branch_limit_index(p, evens[-1], k)  # the last Kummer index, before any work
+    for n, c_val in zip(evens, coleman.zeta_moments(evens, 1, 3, p, M, N)):
         exact = exactq.euler_stripped_zeta(n, p)
         spec = group_algebra.PadicCharSpec((1 - n) % (p - 1), 1 - n)
         lhs = group_algebra.interp_check(triv, 0, n, r, prec=prec).lhs
         s_val = lhs / group_algebra.h_char_value(1, p, spec, prec + 4)
-        c_val = coleman.zeta_moment(n, 1, 3, p, M, N)
         o_val = group_algebra.branch_limit_oracle(p, n, k, c)
         legs = [("stickelberger", repr(s_val), vp_diff(s_val, exact), r - 1 - exactq.vp(n, p)),
                 ("coleman", repr(c_val), vp_diff(c_val, exact), 3)]

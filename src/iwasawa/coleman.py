@@ -12,28 +12,29 @@ towers is deliberately not implemented.  The pipeline is
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import measures
-from .iwaseries import TruncatedSeries, binomial_row, log_one_plus, omega_poly
+from .iwaseries import TruncatedSeries, binomial_row, floor_log, log_one_plus, omega_poly
 from .padic import PadicNumber
 
 
 def w_series(k: int, p: int, trunc: int, prec: int) -> TruncatedSeries:
     """((1+X)^(-k/2) - (1+X)^(k/2))/X, a unit series with constant term -k.
 
-    The binomial rows C(+-k/2, n) are exact Fractions, not residues mod
-    p^prec, since n may be divisible by p.  Only 2 divides their
-    denominators, so each difference reduces mod p^prec.
+    The binomial rows C(+-k/2, n), n <= trunc, are integer rows at lifts of
+    +-k/2 mod p^(prec + floor(log_p trunc)).  C(x+h, n) - C(x, n) is divisible
+    by p^(v_p(h) - floor(log_p n)), the bound `measures.dirac` certifies, so
+    each coefficient is exact mod p^prec.
     """
     if k % p == 0:
         raise ValueError("k must be prime to p")
-    mod = p**prec
-    plus = binomial_row(Fraction(k, 2), trunc + 1)
-    minus = binomial_row(Fraction(-k, 2), trunc + 1)
-    diffs = [x - y for x, y in zip(minus[1:], plus[1:])]
-    return TruncatedSeries(p, [b.numerator * pow(b.denominator, -1, mod) for b in diffs], prec)
+    lift_mod = p ** (prec + floor_log(p, trunc))
+    half = k * pow(2, -1, lift_mod)
+    plus = binomial_row(half % lift_mod, trunc + 1)
+    minus = binomial_row(-half % lift_mod, trunc + 1)
+    return TruncatedSeries(p, [x - y for x, y in zip(minus[1:], plus[1:])], prec)
 
 
 def coleman_unit(a: int, b: int, p: int, trunc: int, prec: int) -> TruncatedSeries:
@@ -56,10 +57,7 @@ def log_derivative_measure(f: TruncatedSeries) -> TruncatedSeries:
     if f.coeffs[0] % p == 0:
         raise ValueError("log-derivative trick needs a unit series")
     target = TruncatedSeries.from_integer_poly(omega_like(p, M), p, M, N)
-    fp = f
-    for _ in range(p - 1):
-        fp = fp * f
-    g = fp * f.substitute(target).invert_unit()
+    g = f**p * f.substitute(target).invert_unit()
     u = g - TruncatedSeries.one(p, M, N)
     logg = log_one_plus(u)
     if any(c % p for c in logg.coeffs):
@@ -82,14 +80,30 @@ def delta_n(f: TruncatedSeries, n: int) -> PadicNumber:
     return measures.moment(f.d_operator() * inv, n - 1)
 
 
+@lru_cache(maxsize=1)
 def lambda_unit_measure(a: int, b: int, p: int, trunc: int, prec: int) -> TruncatedSeries:
     """The measure on Z_p^x attached to the unit tower c(a, b).
 
     Internally one extra p-digit is carried so the division inside the
-    log-derivative step is lossless; the result is exact mod p^prec.
+    log-derivative step is lossless; the result is exact mod p^prec.  It does
+    not depend on the moment read from it, so the last window is kept (series
+    are immutable) and moments read one n at a time share one build.
     """
     f = coleman_unit(a, b, p, trunc, prec + 1)
     return measures.restrict_to_units(log_derivative_measure(f))
+
+
+def zeta_moments(ns, a: int, b: int, p: int, trunc: int, prec: int) -> list[PadicNumber]:
+    """zeta_moment for every n in ns, all read from one measure."""
+    ns = list(ns)
+    moms = measures.moments(lambda_unit_measure(a, b, p, trunc, prec), max(ns, default=0))
+    out = []
+    for n in ns:
+        den = PadicNumber.from_int(b**n - a**n, p, prec)
+        if den.is_zero:
+            raise ValueError("b^n - a^n vanishes at this precision")
+        out.append(moms[n] / den)
+    return out
 
 
 def zeta_moment(n: int, a: int, b: int, p: int, trunc: int, prec: int) -> PadicNumber:

@@ -544,9 +544,13 @@ def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> Tru
     gamma^k), so the coefficients form a level table; its omega^i-branch is
     a polynomial in X = gamma, which one Taylor shift X -> 1 + T turns into
     the series.  The result must have coefficients in Z_p at the working
-    precision.
+    precision, which is capped at the window of x.
     """
     r = _p_power_level(x.modulus, p)
+    if x.window is not None:
+        prec = min(prec, x.window)
+        if prec < 1:
+            raise ValueError("coefficients carry too little precision for this evaluation")
     shift = int_vp(x.den, p)
     K = prec + shift
     table = _layout(x, p, r, shift, K)

@@ -15,8 +15,8 @@ moments to full p-precision N should choose M >= n + N*(p-1).
 
 from __future__ import annotations
 
-from .iwaseries import TruncatedSeries, binomial_row, inverse_taylor_shift, taylor_shift
-from .padic import PadicNumber, int_vp
+from .iwaseries import TruncatedSeries, binomial_row, floor_log, inverse_taylor_shift, taylor_shift
+from .padic import PadicNumber
 
 
 def dirac(a, p: int = None, trunc: int = None, prec: int = None) -> TruncatedSeries:
@@ -31,8 +31,7 @@ def dirac(a, p: int = None, trunc: int = None, prec: int = None) -> TruncatedSer
         if not a.is_zero:
             if a.valuation < 0:
                 raise ValueError("Dirac point must lie in Z_p")
-            # floor(log_p(trunc - 1)) is the largest v_p(n) over 0 < n < trunc
-            prec = min(prec, a.abs_precision - max((int_vp(n, p) for n in range(1, trunc)), default=0))
+            prec = min(prec, a.abs_precision - floor_log(p, trunc - 1))
             if prec < 1:
                 raise ValueError(f"a point known mod {p}^{a.abs_precision} certifies no digit of {trunc} Dirac coefficients")
         a = int(a.lift())
@@ -49,6 +48,19 @@ def convolve(mu1: TruncatedSeries, mu2: TruncatedSeries) -> TruncatedSeries:
 def total_mass(mu: TruncatedSeries) -> PadicNumber:
     """Integral of the constant function 1, i.e. the constant coefficient."""
     return mu.coeff(0)
+
+
+def moments(mu: TruncatedSeries, n_max: int) -> list[PadicNumber]:
+    """Integrals of x^0, ..., x^n_max: D = (1+T) d/dT is applied once per step
+    and each constant term (D^n g)(0) read."""
+    if n_max >= mu.trunc:
+        raise ValueError(f"moment {n_max} needs truncation > {n_max}")
+    g = mu
+    out = [g.coeff(0)]
+    for _ in range(n_max):
+        g = g.d_operator()
+        out.append(g.coeff(0))
+    return out
 
 
 def moment(mu: TruncatedSeries, n: int) -> PadicNumber:

@@ -281,6 +281,9 @@ def test_eigenspace_predicts_once_per_irregular_index(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["coleman", "--prec", "400"], ["coleman", "-p", "401"], ["coleman", "--nmax", "100000"],
     ["coleman", "--trunc", "100000"], ["three", "--trunc", "100000"],
+    ["coleman", "--prime", "3", "--prec", "1", "--nmax", "7000"],
+    ["coleman", "--prime", "3", "--prec", "1", "--pairs", "1,2", "--nmax", "7000"],
+    ["three", "--prime", "5", "--prec", "1", "--nmax", "1600", "--kummer-k", "1"],
 ])
 def test_oversized_coleman_windows_end_promptly(capsys, argv):
     start = time.perf_counter()
@@ -288,6 +291,16 @@ def test_oversized_coleman_windows_end_promptly(capsys, argv):
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:") and "work bound" in err
+    assert elapsed < 1.0
+
+
+def test_kummer_index_past_the_budget_ends_promptly(capsys):
+    """three checks its last Kummer index, nmax + p^k (p-1), before any work."""
+    start = time.perf_counter()
+    code = cli.entry(["three", "--prime", "5", "--prec", "1", "--nmax", "1400", "--kummer-k", "3"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "exact-cache budget" in err
     assert elapsed < 1.0
 
 

@@ -205,7 +205,10 @@ def _old_evaluate_char(x, spec, p, prec):
 def _old_component_series(x, i, p, prec):
     """component_series on the former Fraction normalization."""
     r = _p_power_level(x.modulus, p)
-    norm, shift, _ = _old_normalized_coeffs(x, p)
+    norm, shift, window = _old_normalized_coeffs(x, p)
+    if window is not None:
+        # no more digits than the coefficients carry (the former path claimed prec)
+        prec = min(prec, window - shift)
     K = prec + shift
     pK = p**K
     zeta_pow = teichmuller_table(p, K).zeta_pow

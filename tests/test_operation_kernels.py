@@ -30,7 +30,7 @@ from iwasawa.group_algebra import (
     mu_chi_level,
     stickelberger,
 )
-from iwasawa.iwaseries import TruncatedSeries, binomial_row, nu_rm_poly, omega_poly, phi_poly, taylor_shift
+from iwasawa.iwaseries import TruncatedSeries, binomial_row, floor_log, nu_rm_poly, omega_poly, phi_poly, taylor_shift
 from iwasawa.padic import PadicNumber, from_rational_abs, int_vp
 
 # -- substitution and the twist ---------------------------------------------------
@@ -105,16 +105,22 @@ def test_binomial_row_integers_against_comb():
         assert binomial_row(x, 45) == ref, x
     assert binomial_row(7, 0) == [] and binomial_row(7, 1) == [1]
     assert all(type(c) is int for c in binomial_row(-9, 20))
+    with pytest.raises(TypeError):
+        binomial_row(Fraction(1, 2), 5)
 
 
 @pytest.mark.parametrize("num", [1, -1, 3, -3, 7, -7, 12, -12, 25])
 def test_binomial_row_half_integers_against_factorial(num):
+    """At an integer lift of num/2 mod p^K the row agrees with C(num/2, k)
+    mod p^(K - floor(log_p k)), the bound the Coleman series w_k rely on."""
     x = Fraction(num, 2)
-    for k, c in enumerate(binomial_row(x, 30)):
+    for p, K in ((3, 4), (5, 3), (7, 2), (11, 1)):
+        row = binomial_row(num * pow(2, -1, p**K) % p**K, 30)
         prod = Fraction(1)
-        for i in range(k):
-            prod *= x - i
-        assert c == prod / factorial(k), (x, k)
+        for k, c in enumerate(row):
+            diff = c - prod / factorial(k)
+            assert diff.numerator % p ** (K - floor_log(p, k)) == 0, (x, p, k)
+            prod *= x - k
 
 
 @pytest.mark.parametrize("p, r", [(3, 0), (3, 1), (3, 4), (5, 1), (5, 2), (5, 4), (7, 2), (11, 2), (13, 2), (23, 2)])
