@@ -213,9 +213,7 @@ def _materialize(buckets: dict[int, Fraction], p: int, prec: int) -> PadicNumber
     zeta_pow = teichmuller_table(p, prec).zeta_pow
     total = PadicNumber.zero(p)
     for e, q in sorted(buckets.items()):
-        if q == 0:
-            continue
-        total = total + PadicNumber(p, 0, zeta_pow[e], prec) * PadicNumber.from_rational(q, p, prec)
+        total = total + PadicNumber(p, 0, zeta_pow[e], prec) * q
     return total
 
 
@@ -244,7 +242,4 @@ def gen_bernoulli_limit_oracle(n: int, chi: DirichletCharacter, j: int, prec: in
 
 def L_neg(chi: DirichletCharacter, n: int, prec: int = 20) -> PadicNumber:
     """L(chi, 1-n) = -B_(n,chi)/n as a p-adic value."""
-    b = gen_bernoulli(n, chi, prec)
-    if b.is_zero:
-        return b
-    return -b / n
+    return -gen_bernoulli(n, chi, prec) / n

@@ -143,16 +143,17 @@ def cmd_growth(cfg: RunConfig, module_file: str, e: int, r_max: int) -> int:
     return _emit(cfg, "growth", {"rows": rows}, rep.passed)
 
 
-def _coleman_window(cfg: RunConfig, n_max: int) -> tuple[int, int]:
+def _coleman_window(cfg: RunConfig, n_max: int, pairs: int = 1) -> tuple[int, int]:
     """Series truncation M and p-adic precision N for moments up to n_max.
-    One measure of M coefficients mod p^N serves every moment: windows whose
-    M^2 N log2(p) exceeds MAX_COLEMAN_WORK are refused.  Each moment then
-    costs one D step (n_max M N <= M^2 N, since M > n_max) and an exact B_n
-    reference, so n_max is held to the exact-Bernoulli budget as well."""
+    One measure of M coefficients mod p^N per pair (a, b) serves every moment:
+    windows whose pairs M^2 N log2(p) exceeds MAX_COLEMAN_WORK are refused.
+    Each moment then costs one D step (n_max M N <= M^2 N, since M > n_max)
+    and an exact B_n reference, so n_max is held to the exact-Bernoulli
+    budget as well."""
     M, N = max(cfg.trunc, n_max + (cfg.prec + 2) * (cfg.prime - 1) + 2), cfg.prec
-    if M * M * N * cfg.prime.bit_length() > MAX_COLEMAN_WORK:
-        raise ValueError(f"Coleman window (M, N) = ({M}, {N}) at p = {cfg.prime} "
-                         f"exceeds the work bound M^2 N log2(p) <= {MAX_COLEMAN_WORK:.0e}")
+    if pairs * M * M * N * cfg.prime.bit_length() > MAX_COLEMAN_WORK:
+        raise ValueError(f"Coleman window (M, N) = ({M}, {N}) at p = {cfg.prime} for {pairs} pair(s) "
+                         f"exceeds the work bound pairs M^2 N log2(p) <= {MAX_COLEMAN_WORK:.0e}")
     if n_max > group_algebra.BERNOULLI_INDEX_LIMIT:
         raise ValueError(f"{n_max} moments exceed the work bound nmax <= "
                          f"{group_algebra.BERNOULLI_INDEX_LIMIT} of exact B_n references")
@@ -161,11 +162,11 @@ def _coleman_window(cfg: RunConfig, n_max: int) -> tuple[int, int]:
 
 def cmd_coleman(cfg: RunConfig, n_max: int, pairs: str, min_agree: int) -> int:
     p = cfg.prime
-    M, N = _coleman_window(cfg, n_max)
     pair_list = []
     for chunk in pairs.split(";"):
         a, b = (int(x) for x in chunk.split(","))
         pair_list.append((a, b))
+    M, N = _coleman_window(cfg, n_max, len(pair_list))
     rows = [["n", "pair", "moment/(b^n-a^n)", "reference", "agree_val"]]
     ok = True
     for a, b in pair_list:
@@ -250,8 +251,6 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     for p in (5, 7):
         for _ in range(5):
             x = PadicNumber.from_int(p * rng.randrange(1, p**4), p, 8)
-            if x.is_zero:
-                continue
             record(f"log/exp roundtrip p={p}", plog(pexp(x)).agrees(x, x.abs_precision - 1))
         z = PadicNumber.from_int(rng.randrange(1, p**5) * p + 1, p, 8)
         t, u = decompose_unit(z + 1 if (z + 1).residue() else z + 2)
@@ -267,8 +266,8 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
             record("weierstrass roundtrip", False)
     e1 = group_algebra.idempotent(1, 2, 5, 8)
     e2 = group_algebra.idempotent(2, 2, 5, 8)
-    record("idempotent e^2=e", all(c.is_zero or c.valuation >= 6 for c in (e1 * e1 - e1).coeffs.values()))
-    record("idempotent orthogonal", all(c.is_zero or c.valuation >= 6 for c in (e1 * e2).coeffs.values()))
+    record("idempotent e^2=e", all(c.valuation >= 6 for c in (e1 * e1 - e1).coeffs.values()))
+    record("idempotent orthogonal", all(c.valuation >= 6 for c in (e1 * e2).coeffs.values()))
     d = measures.dirac(3, 5, 20, 6)
     record("restriction fixes unit dirac", measures.restrict_to_units(d) == d)
     d0 = measures.dirac(5, 5, 20, 6)

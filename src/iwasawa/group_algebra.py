@@ -45,7 +45,7 @@ class GroupRingElement:
             a %= modulus
             if gcd(a, modulus) != 1:
                 raise ValueError(f"{a} is not a unit mod {modulus}")
-            if isinstance(c, PadicNumber) and not c.is_zero:
+            if isinstance(c, PadicNumber) and c.abs_precision is not None:
                 prime, window = c.prime, min(window, c.abs_precision)
             clean[a] = c.lift() if isinstance(c, PadicNumber) else Fraction(c)
         den = lcm(*(c.denominator for c in clean.values()))
@@ -276,7 +276,7 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     tables = teichmuller_table(p, K)
     s = spec.wild_exponent
     i = spec.teich_exponent % (p - 1)
-    padic_s = not isinstance(s, int) and not s.is_zero
+    padic_s = isinstance(s, PadicNumber) and s.abs_precision is not None
     if padic_s and s.valuation < 0:
         raise ValueError("exponent must lie in Z_p")
     s_red = (int(s.lift()) if isinstance(s, PadicNumber) else s) % p ** max(K - 1, 1)

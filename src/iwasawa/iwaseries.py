@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
 
-from .padic import PadicNumber, _check_odd_prime, int_vp
+from .padic import PadicNumber, _check_odd_prime, from_rational_abs, int_vp
 
 
 # Largest precision N of a series file (work grows as N^2); tests use N <= 9, the benchmark N <= 20.
@@ -86,11 +86,7 @@ class TruncatedSeries:
 
     def coeff(self, i: int) -> PadicNumber:
         """Coefficient of T^i as a p-adic number known mod p^prec."""
-        c = self.coeffs[i]
-        if c == 0:
-            return PadicNumber.zero(self.prime)
-        v = int_vp(c, self.prime)
-        return PadicNumber(self.prime, v, c // self.prime**v, self.prec - v)
+        return from_rational_abs(self.coeffs[i], self.prime, self.prec)
 
     def _shape_check(self, other: "TruncatedSeries") -> None:
         if (self.prime, self.trunc, self.prec) != (other.prime, other.trunc, other.prec):

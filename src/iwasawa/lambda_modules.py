@@ -10,6 +10,7 @@ Z_p-rank has no finite omega-quotients at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .characters import gen_bernoulli, teichmuller_char
 from .iwaseries import (
@@ -129,57 +130,36 @@ def _mult_matrix(P: list[int], g: list[int]) -> list[list[int]]:
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
-def smith_elementary_divisors(mat: list[list[int]]) -> list[int]:
-    """Smith normal form diagonal of an integer matrix, by exact reduction."""
-    m = [row[:] for row in mat]
-    n = len(m)
+def smith_elementary_divisors(mat: list[list[int]], p: int) -> list[int]:
+    """Smith normal form diagonal of a square integer matrix over Z_(p), the
+    rationals with denominators prime to p: p^(v_i) per elementary divisor and
+    0 per kernel dimension.
+
+    Over this local ring an entry of least p-valuation divides every entry, so
+    each pivot clears its row and column in one step and leaves the Schur
+    complement, whose exact Fraction entries again lie in Z_(p)."""
+    m = [[Fraction(c) for c in row] for row in mat]
     divisors = []
-    top = 0
-    while top < n:
-        # find a nonzero pivot of minimal absolute value
-        best = None
-        for i in range(top, n):
-            for j in range(top, n):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            divisors.extend([0] * (n - top))
-            break
-        i0, j0 = best
-        m[top], m[i0] = m[i0], m[top]
-        for row in m:
-            row[top], row[j0] = row[j0], row[top]
-        pivot = m[top][top]
-        dirty = False
-        for i in range(top + 1, n):
-            q = m[i][top] // pivot
-            if q:
-                for j in range(top, n):
-                    m[i][j] -= q * m[top][j]
-            if m[i][top]:
-                dirty = True
-        for j in range(top + 1, n):
-            q = m[top][j] // pivot
-            if q:
-                for i in range(top, n):
-                    m[i][j] -= q * m[i][top]
-            if m[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        divisors.append(abs(pivot))
-        top += 1
+    while m:
+        nonzero = [(int_vp(c.numerator, p), i, j) for i, row in enumerate(m) for j, c in enumerate(row) if c]
+        if not nonzero:
+            return divisors + [0] * len(m)
+        v, i0, j0 = min(nonzero)
+        divisors.append(p**v)
+        pivot_row, pivot = m[i0], m[i0][j0]
+        m = [[c - row[j0] * pivot_row[j] / pivot for j, c in enumerate(row) if j != j0]
+             for i, row in enumerate(m) if i != i0]
     return divisors
 
 
 def quotient_order_oracle(P: list[int], g: list[int], p: int, cap: int = 6) -> int:
     """Independent check on quotient orders: the multiplication-by-g matrix on
-    Z[T]/(P) is diagonalized over the integers and the p-valuations of its
+    Z[T]/(P) is diagonalized over Z_(p) and the p-valuations of its
     elementary divisors are summed."""
     if len(poly_trim(P)) - 1 > cap:
         raise ValueError(f"oracle capped at degree {cap}")
     mat = _mult_matrix(P, g)
-    divisors = smith_elementary_divisors(mat)
+    divisors = smith_elementary_divisors(mat, p)
     if any(d == 0 for d in divisors):
         raise ValueError("quotient is infinite (singular multiplication matrix)")
     return sum(int_vp(d, p) for d in divisors)

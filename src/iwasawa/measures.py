@@ -28,7 +28,7 @@ def dirac(a, p: int = None, trunc: int = None, prec: int = None) -> TruncatedSer
     """
     if isinstance(a, PadicNumber):
         p = a.prime
-        if not a.is_zero:
+        if a.abs_precision is not None:
             if a.valuation < 0:
                 raise ValueError("Dirac point must lie in Z_p")
             prec = min(prec, a.abs_precision - floor_log(p, trunc - 1))

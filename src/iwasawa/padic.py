@@ -2,11 +2,14 @@
 
 Values are stored in floating style as p^valuation * mantissa with the
 mantissa a unit known modulo p^precision, so elements of negative valuation
-(Stickelberger denominators) are first class.  Exact zero is a distinguished
-state.  All values are immutable; operations return new numbers and track
-precision loss on cancellation conservatively.  Powers u^s and Teichmuller
-lifts are one modular `pow` on integer lifts, and `plog` runs on the series
-logarithm `iwaseries.log_one_plus`; each reports only the digits it certifies.
+(Stickelberger denominators) are first class.  Every value is known modulo
+p^abs_precision, zero included: O(p^k) is the zero known mod p^k (mantissa 0,
+valuation k, precision 0), and a sum or product carries the absolute
+precision min(a_x, a_y) or min(a_x + v_y, a_y + v_x) whether or not it
+cancels.  Only exact inputs give the exact zero (`PadicNumber.zero`).  All
+values are immutable.  Powers u^s and Teichmuller lifts are one modular
+`pow` on integer lifts, and `plog` runs on the series logarithm
+`iwaseries.log_one_plus`; each reports only the digits it certifies.
 """
 
 from __future__ import annotations
@@ -51,19 +54,22 @@ class PadicNumber:
     __slots__ = ("prime", "valuation", "mantissa", "precision")
 
     def __init__(self, prime, valuation, mantissa, precision):
+        """p^valuation * mantissa known modulo p^(valuation + precision), for any
+        integer mantissa; a mantissa of None is the exact zero."""
         _check_odd_prime(prime)
         self.prime = prime
         if mantissa is None:
-            # exact zero
             self.valuation = None
             self.mantissa = None
             self.precision = None
             return
-        if precision < 1:
-            raise PadicError("precision must be >= 1")
-        m = mantissa % prime**precision
-        if m % prime == 0:
-            raise PadicError("mantissa must be a p-adic unit")
+        m = mantissa % prime**precision if precision > 0 else 0
+        if not m:
+            # zero to its precision: O(p^(valuation + precision))
+            valuation, precision = valuation + precision, 0
+        elif m % prime == 0:
+            s = int_vp(m, prime)
+            valuation, m, precision = valuation + s, m // prime**s, precision - s
         self.valuation = valuation
         self.mantissa = m
         self.precision = precision
@@ -72,26 +78,21 @@ class PadicNumber:
 
     @staticmethod
     def zero(p: int) -> "PadicNumber":
+        """The exact zero."""
         return PadicNumber(p, None, None, None)
 
     @staticmethod
     def from_int(n: int, p: int, prec: int) -> "PadicNumber":
-        if n == 0:
-            return PadicNumber.zero(p)
-        v = int_vp(n, p)
+        """n to prec significant digits; 0 is known mod p^prec."""
+        v = int_vp(n, p) if n else 0
         return PadicNumber(p, v, n // p**v, prec)
 
     @staticmethod
     def from_rational(q, p: int, prec: int) -> "PadicNumber":
+        """q to prec significant digits; 0 is known mod p^prec."""
         q = Fraction(q)
-        if q == 0:
-            return PadicNumber.zero(p)
-        vn = int_vp(q.numerator, p) if q.numerator else 0
-        vd = int_vp(q.denominator, p)
-        num = q.numerator // p**vn
-        den = q.denominator // p**vd
-        m = num * pow(den, -1, p**prec)
-        return PadicNumber(p, vn - vd, m, prec)
+        v = int_vp(q.numerator, p) - int_vp(q.denominator, p) if q else 0
+        return from_rational_abs(q, p, v + prec)
 
     @staticmethod
     def one(p: int, prec: int) -> "PadicNumber":
@@ -101,28 +102,27 @@ class PadicNumber:
 
     @property
     def is_zero(self) -> bool:
-        return self.mantissa is None
+        """Zero to its precision (the exact zero included)."""
+        return not self.mantissa
 
     @property
     def abs_precision(self):
-        """The value is known modulo p^abs_precision."""
-        if self.is_zero:
+        """The value is known modulo p^abs_precision; None for the exact zero."""
+        if self.mantissa is None:
             return None
         return self.valuation + self.precision
 
     def residue(self) -> int:
-        """Value mod p; requires valuation >= 0."""
-        if self.is_zero:
+        """Value mod p; requires valuation >= 0 and the value known mod p."""
+        if self.mantissa is None:
             return 0
-        if self.valuation > 0:
-            return 0
-        if self.valuation < 0:
-            raise PadicError("residue of a non-integral value")
-        return self.mantissa % self.prime
+        if self.valuation < 0 or self.abs_precision < 1:
+            raise PadicError("residue of a value not known to be integral mod p")
+        return self.mantissa % self.prime if self.valuation == 0 else 0
 
     def lift(self) -> Fraction:
         """The representative p^v * mantissa as an exact rational."""
-        if self.is_zero:
+        if self.mantissa is None:
             return Fraction(0)
         return Fraction(self.prime) ** self.valuation * self.mantissa
 
@@ -136,38 +136,28 @@ class PadicNumber:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return PadicNumber.zero(self.prime)
-            if self.is_zero:
-                return PadicNumber.from_rational(other, self.prime, 1)
-            # exact operand: enough relative digits that it never limits the
-            # result, whether the operation compares absolute precisions
-            # (addition) or relative ones (multiplication)
+            if self.mantissa is None:
+                raise PadicError("an exact zero and an exact rational leave no precision to report")
+            # exact operand: enough digits that it never limits the result,
+            # whether the operation compares absolute precisions (addition)
+            # or relative ones (multiplication)
             q = Fraction(other)
             vq = int_vp(q.numerator, self.prime) - int_vp(q.denominator, self.prime)
-            rel = max(self.precision, self.abs_precision - vq + 1, 1)
-            return PadicNumber.from_rational(q, self.prime, rel)
+            return from_rational_abs(q, self.prime, max(self.abs_precision, vq + max(self.precision, 1)))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero:
+        if self.mantissa is None:
             return o
-        if o.is_zero:
+        if o.mantissa is None:
             return self
         p = self.prime
         v = min(self.valuation, o.valuation)
-        absprec = min(self.abs_precision, o.abs_precision)
-        window = absprec - v
-        m = p**window
-        val = (self.mantissa * p ** (self.valuation - v) + o.mantissa * p ** (o.valuation - v)) % m
-        if val == 0:
-            return PadicNumber.zero(p)
-        shift = int_vp(val, p)
-        rel = window - shift
-        if rel < 1:
-            return PadicNumber.zero(p)
-        return PadicNumber(p, v + shift, val // p**shift, rel)
+        val = self.mantissa * p ** (self.valuation - v) + o.mantissa * p ** (o.valuation - v)
+        return PadicNumber(p, v, val, min(self.abs_precision, o.abs_precision) - v)
 
     __radd__ = __add__
 
@@ -186,10 +176,12 @@ class PadicNumber:
         return (-self) + other
 
     def __mul__(self, other):
+        if self.mantissa is None and isinstance(other, (int, Fraction)):
+            return self  # the exact zero times an exact rational
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
+        if self.mantissa is None or o.mantissa is None:
             return PadicNumber.zero(self.prime)
         prec = min(self.precision, o.precision)
         return PadicNumber(self.prime, self.valuation + o.valuation, self.mantissa * o.mantissa, prec)
@@ -198,11 +190,13 @@ class PadicNumber:
 
     def inverse(self) -> "PadicNumber":
         if self.is_zero:
-            raise PadicError("inversion of exact zero")
+            raise PadicError("inversion of a value that is zero to its precision")
         p, n = self.prime, self.precision
         return PadicNumber(p, -self.valuation, pow(self.mantissa, -1, p**n), n)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other != 0:
+            return self * (1 / Fraction(other))  # an exact divisor stays exact
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -219,29 +213,23 @@ class PadicNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        if self.is_zero:
-            return PadicNumber.zero(self.prime) if n else PadicNumber.one(self.prime, 1)
-        if n == 0:
-            return PadicNumber.one(self.prime, self.precision)
+        if self.mantissa is None:
+            return self if n else PadicNumber.one(self.prime, 1)
         p, prec = self.prime, self.precision
-        m = pow(self.mantissa, n, p**prec)
-        return PadicNumber(p, n * self.valuation, m, prec)
+        return PadicNumber(p, n * self.valuation, pow(self.mantissa, n, p**prec), prec)
 
     # -- comparison helpers ---------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             # exact operand: compare values at this number's precision
-            if self.is_zero:
+            if self.mantissa is None:
                 return other == 0
             return self.agrees(self._coerce(other), self.abs_precision)
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        if self.prime != other.prime:
-            return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return (self.valuation, self.mantissa, self.precision) == (
+        return (self.prime, self.valuation, self.mantissa, self.precision) == (
+            other.prime,
             other.valuation,
             other.mantissa,
             other.precision,
@@ -257,8 +245,10 @@ class PadicNumber:
         return d.is_zero or d.valuation >= abs_prec
 
     def __repr__(self):
-        if self.is_zero:
+        if self.mantissa is None:
             return f"O({self.prime}^inf)*0"
+        if not self.mantissa:
+            return f"O({self.prime}^{self.abs_precision})"
         return f"{self.mantissa}*{self.prime}^{self.valuation} + O({self.prime}^{self.abs_precision})"
 
 
@@ -299,7 +289,7 @@ def plog(u: PadicNumber) -> PadicNumber:
     from .iwaseries import TruncatedSeries, log_one_plus  # iwaseries imports this module
 
     p = u.prime
-    if u.is_zero or u.valuation != 0 or u.mantissa % p != 1:
+    if u.valuation != 0 or u.mantissa % p != 1:
         raise PadicError("plog requires an argument in 1 + pZ_p")
     absprec = u.abs_precision
     (c,) = log_one_plus(TruncatedSeries(p, [u.mantissa - 1], absprec)).coeffs
@@ -309,7 +299,7 @@ def plog(u: PadicNumber) -> PadicNumber:
 def pexp(x: PadicNumber) -> PadicNumber:
     """Exponential on pZ_p; returns an element of 1 + pZ_p."""
     p = x.prime
-    if x.is_zero:
+    if x.mantissa is None:
         return PadicNumber.one(p, 1)
     if x.valuation < 1:
         raise PadicError("pexp requires an argument in pZ_p")
@@ -338,11 +328,11 @@ def unit_power(u: PadicNumber, s) -> PadicNumber:
     if isinstance(s, int):
         return u**s
     p = u.prime
-    if s.is_zero:
+    if s.mantissa is None:
         return PadicNumber.one(p, u.precision)
     if s.valuation < 0:
         raise PadicError("exponent must lie in Z_p")
-    if u.is_zero or u.valuation != 0 or u.mantissa % p != 1:
+    if u.valuation != 0 or u.mantissa % p != 1:
         raise PadicError("unit_power requires a base in 1 + pZ_p")
     A = u.precision
     K = min(A + s.valuation, s.abs_precision + (int_vp(u.mantissa - 1, p) if u.mantissa != 1 else A))
@@ -362,17 +352,13 @@ def padic_binomial(x, n: int, p: int = None, prec: int = None) -> PadicNumber:
             q *= Fraction(x) - i
         q /= factorial(n)
         return PadicNumber.from_rational(q, p, prec)
-    if x.is_zero:
+    if x.mantissa is None:
         # binom(0, 0) = 1 exactly; higher coefficients vanish with x
-        return PadicNumber.one(x.prime, 1) if n == 0 else PadicNumber.zero(x.prime)
-    if n == 0:
-        return PadicNumber.one(x.prime, x.precision)
-    acc = PadicNumber.one(x.prime, x.precision)
+        return PadicNumber.one(x.prime, 1) if n == 0 else x
+    acc = PadicNumber.one(x.prime, max(x.precision, 1))
     for i in range(n):
         acc = acc * (x - i)
-        if acc.is_zero:
-            return acc
-    return acc / PadicNumber.from_int(factorial(n), x.prime, x.precision)
+    return acc / factorial(n)
 
 
 # -- internal helpers ------------------------------------------------------
@@ -380,9 +366,7 @@ def padic_binomial(x, n: int, p: int = None, prec: int = None) -> PadicNumber:
 
 def from_rational_abs(q: Fraction, p: int, absprec: int) -> PadicNumber:
     """Rational q as a p-adic value known modulo p^absprec."""
-    if q == 0:
-        return PadicNumber.zero(p)
-    v = int_vp(q.numerator, p) - int_vp(q.denominator, p)
-    if v >= absprec:
-        return PadicNumber.zero(p)
-    return PadicNumber.from_rational(q, p, absprec - v)
+    vd = int_vp(q.denominator, p)
+    rel = absprec + vd  # digits counted from p^-vd
+    den = q.denominator // p**vd
+    return PadicNumber(p, -vd, q.numerator * pow(den, -1, p ** max(rel, 0)), rel)

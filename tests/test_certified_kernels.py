@@ -277,6 +277,8 @@ def test_eigenspace_predicts_once_per_irregular_index(capsys, monkeypatch):
 
 # -- the Coleman window bound ---------------------------------------------------------
 
+TWENTY_PAIRS = ";".join(f"1,{b}" for b in range(2, 32) if b % 3)
+
 
 @pytest.mark.parametrize("argv", [
     ["coleman", "--prec", "400"], ["coleman", "-p", "401"], ["coleman", "--nmax", "100000"],
@@ -284,6 +286,8 @@ def test_eigenspace_predicts_once_per_irregular_index(capsys, monkeypatch):
     ["coleman", "--prime", "3", "--prec", "1", "--nmax", "7000"],
     ["coleman", "--prime", "3", "--prec", "1", "--pairs", "1,2", "--nmax", "7000"],
     ["three", "--prime", "5", "--prec", "1", "--nmax", "1600", "--kummer-k", "1"],
+    # each window passes the bound alone; twenty of them (b prime to 3) do not
+    ["coleman", "-p", "3", "--prec", "12", "--trunc", "2000", "--pairs", TWENTY_PAIRS],
 ])
 def test_oversized_coleman_windows_end_promptly(capsys, argv):
     start = time.perf_counter()

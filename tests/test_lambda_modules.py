@@ -5,6 +5,7 @@ import pytest
 from iwasawa.iwaseries import TruncatedSeries, nu_rm_poly, phi_poly, poly_mul
 from iwasawa.lambda_modules import (
     ElementaryModule,
+    _mult_matrix,
     eigenspace_order_prediction,
     growth_sequence,
     invariants,
@@ -12,7 +13,9 @@ from iwasawa.lambda_modules import (
     parse_module_file,
     quotient_order_exponent,
     quotient_order_oracle,
+    smith_elementary_divisors,
 )
+from iwasawa.padic import int_vp
 
 
 def test_invariants_examples():
@@ -98,6 +101,71 @@ def test_oracle_matches_main_path():
             continue
         checked += 1
         assert main == quotient_order_oracle(P, g, p)
+
+
+def _integer_smith_diagonal(mat):
+    """Diagonalization over Z by Euclid-style pivoting: repeated division by the
+    entry of least absolute value (the oracle's former routine)."""
+    m = [row[:] for row in mat]
+    n = len(m)
+    divisors = []
+    top = 0
+    while top < n:
+        # find a nonzero pivot of minimal absolute value
+        best = None
+        for i in range(top, n):
+            for j in range(top, n):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            divisors.extend([0] * (n - top))
+            break
+        i0, j0 = best
+        m[top], m[i0] = m[i0], m[top]
+        for row in m:
+            row[top], row[j0] = row[j0], row[top]
+        pivot = m[top][top]
+        dirty = False
+        for i in range(top + 1, n):
+            q = m[i][top] // pivot
+            if q:
+                for j in range(top, n):
+                    m[i][j] -= q * m[top][j]
+            if m[i][top]:
+                dirty = True
+        for j in range(top + 1, n):
+            q = m[top][j] // pivot
+            if q:
+                for i in range(top, n):
+                    m[i][j] -= q * m[i][top]
+            if m[top][j]:
+                dirty = True
+        if dirty:
+            continue
+        divisors.append(abs(pivot))
+        top += 1
+    return divisors
+
+
+# criterion 09's distinguished factors and two cubics; at p = 7 the integer
+# pivoting needs minutes for r = 5, so the comparison stops at r = 4 there
+@pytest.mark.parametrize("p, r_max", [(3, 5), (5, 5), (7, 4)])
+def test_local_smith_form_matches_integer_pivoting(p, r_max):
+    for P in ([0, 1], [-p, 1], [p * p, p, 1], [p**3, 0, p, 1], [p, p, 0, 1]):
+        for r in range(1, r_max + 1):
+            mat = _mult_matrix(P, nu_rm_poly(p, r, 0))
+            got = smith_elementary_divisors(mat, p)
+            assert all(d == p ** int_vp(d, p) for d in got)
+            want = sorted(int_vp(d, p) for d in _integer_smith_diagonal(mat))
+            assert sorted(int_vp(d, p) for d in got) == want, (P, r)
+
+
+def test_local_smith_form_singular():
+    assert smith_elementary_divisors([[2, 4], [1, 2]], 5) == [1, 0]
+    assert _integer_smith_diagonal([[2, 4], [1, 2]]) == [1, 0]
+    assert smith_elementary_divisors([[0, 0], [0, 0]], 3) == [0, 0]
+    with pytest.raises(ValueError, match="singular"):
+        quotient_order_oracle([0, 1], [0, 1], 5)  # T is zero on Z[T]/(T)
 
 
 def test_oracle_degree_cap():
