@@ -213,9 +213,7 @@ def kummer_congruence_check(m: int, n: int, p: int, k: int, c: int) -> KummerRep
     strong = m % (p - 1) != 0 and n % (p - 1) != 0
     sval = None
     if strong:
-        sl = (1 - Fraction(p) ** (m - 1)) * bernoulli(m) / m
-        sr = (1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n
-        sd = sl - sr
+        sd = euler_stripped_zeta(m, p) - euler_stripped_zeta(n, p)
         sval = float("inf") if sd == 0 else vp(sd, p)
         passed = passed and sval >= k + 1
     return KummerReport(m, n, p, k, c, lhs, rhs, dval, strong, sval, passed)

@@ -8,8 +8,9 @@ p^w (idempotents, h_N^(i), other mu_chi); then the denominator is a power of
 p.  Every operation runs on these integers and divides the common factor
 back out, so an integral element has denominator 1.  A product is known mod
 p^min(w_x + v(y), w_y + v(x)), v the least coefficient valuation and w
-infinite for an exact factor.  `coeffs` reads the coefficients as Fractions
-or PadicNumbers.
+infinite for an exact factor; `__mul__` is the one product kernel, the
+level-r elements h_N mu_chi of the interpolation check included.  `coeffs`
+reads the coefficients as Fractions or PadicNumbers.
 """
 
 from __future__ import annotations
@@ -339,25 +340,11 @@ def _layout(x: GroupRingElement, p: int, r: int, e: int, K: int) -> list[int]:
 
 @lru_cache(maxsize=16)
 def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> tuple[int, ...]:
-    """h_N mu_chi at level r as a level table, integers mod p^(prec+r) over p^r.
-
-    The layout of mu_chi_level times the terms c sigma_g of h_element: each g
-    is a principal unit gamma^k_g, so its term adds c times every row rotated
-    by k_g along the k axis (no group-ring product is built).  Cached by the
-    whole character (its exponent table), r and prec.
-    """
+    """h_N mu_chi at level r as a level table, integers mod p^(prec+r) over p^r:
+    the layout of the one product h_element * mu_chi_level.  Cached by the
+    whole character (its exponent table), r and prec."""
     chi = DirichletCharacter(N, p, dict(exponents))
-    pK, d = p ** (prec + r), p ** (r - 1)
-    flat = _layout(mu_chi_level(chi, r, prec), p, r, r, prec + r)
-    turns = [(c, d - _level_index(p, r)[g]) for g, c in h_element(N, r, p).num.items()]
-    table = []
-    for t in range(p - 1):
-        row = flat[t * d : (t + 1) * d]
-        acc = [0] * d
-        for c, k in turns:
-            acc = [v + c * y for v, y in zip(acc, row[k:] + row[:k])]
-        table += [v % pK for v in acc]
-    return tuple(table)
+    return tuple(_layout(h_element(N, r, p) * mu_chi_level(chi, r, prec), p, r, r, prec + r))
 
 
 def _branch(table, i: int, p: int, K: int) -> list[int]:
@@ -500,22 +487,18 @@ def branch_limit_index(p: int, n: int, k: int) -> int:
 
 
 def branch_limit_oracle(p: int, n: int, k: int, c: int, prec: int = 12) -> PadicNumber:
-    """Approximate (1 - p^(n-1)) zeta(1-n) from the Kummer-congruence limit.
+    """Approximate (1 - p^(n-1)) zeta(1-n) from the Kummer-congruence limit:
+    the same value at the congruent index m = `branch_limit_index(p, n, k)`.
 
-    Evaluates the regularized value at the congruent index m and divides the
-    (1 - c^m) factor back out, exactly as the continuity construction does;
-    the division cancels in exact rationals, so c only enters the companion
-    `branch_limit_regularized`.  Guaranteed agreement scale: p^(k+1) on the
-    regularized values; on the plain values one p-digit per unit of
+    The continuity construction divides the regularized value
+    `branch_limit_regularized` by its (1 - c^m) factor, which cancels
+    exactly, so c is only validated.  Guaranteed agreement scale: p^(k+1) on
+    the regularized values; on the plain values one p-digit per unit of
     v_p(1 - c^n) less on the branch with (p-1) | n.
     """
     if c % p == 0:
         raise ValueError("c must be prime to p")
-    m = branch_limit_index(p, n, k)
-    f_m = exactq.kummer_regularized_value(m, p, c)
-    reg = 1 - Fraction(c) ** m
-    val = -f_m / reg
-    return PadicNumber.from_rational(val, p, prec)
+    return PadicNumber.from_rational(exactq.euler_stripped_zeta(branch_limit_index(p, n, k), p), p, prec)
 
 
 def branch_limit_regularized(p: int, n: int, k: int, c: int) -> Fraction:

@@ -36,11 +36,6 @@ from .padic import PadicNumber, _check_odd_prime, from_rational_abs, int_vp
 # Largest precision N of a series file (work grows as N^2); tests use N <= 9, the benchmark N <= 20.
 MAX_FILE_PREC = 1000
 
-# Largest M^2 N log2(p) of a command-line Coleman window (one measure of M
-# coefficients mod p^N serves every moment); (p, M, N) = (3, 2000, 12), work
-# 9.6e7, builds in about 0.9 s on a 2-vCPU x86 VM.
-MAX_COLEMAN_WORK = 10**8
-
 
 class IndeterminateWithinTruncation(ValueError):
     """The (M, N) window cannot decide the requested quantity."""
@@ -132,14 +127,21 @@ class TruncatedSeries:
         return out
 
     def scalar_mul(self, c) -> "TruncatedSeries":
+        """c * self for c in Z_p: an int, a Fraction or a PadicNumber.  A
+        PadicNumber known mod p^a leaves the product known mod p^min(prec, a);
+        an exact scalar, the exact zero included, keeps prec."""
+        prec = self.prec
         if isinstance(c, PadicNumber):
-            if c.is_zero:
-                return TruncatedSeries.zero(self.prime, self.trunc, self.prec)
+            if c.mantissa is None:
+                return TruncatedSeries.zero(self.prime, self.trunc, prec)
+            prec = min(prec, c.abs_precision)
+            if prec < 1:
+                raise ValueError("scalar carries too little precision for this product")
             if c.valuation < 0:
                 raise ValueError("scalar must lie in Z_p")
             c = c.lift()
-            c = c.numerator * pow(c.denominator, -1, self.prime**self.prec)
-        return TruncatedSeries(self.prime, [c * a for a in self.coeffs], self.prec)
+        c = c.numerator * pow(c.denominator, -1, self.prime**prec)
+        return TruncatedSeries(self.prime, [c * a for a in self.coeffs], prec)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -240,9 +240,10 @@ class PadicNumber:
     __hash__ = None
 
     def agrees(self, other, abs_prec: int) -> bool:
-        """True when self - other vanishes modulo p^abs_prec."""
+        """True when self - other is known to vanish modulo p^abs_prec: an
+        O(p^j) difference agrees only for abs_prec <= j."""
         d = self - other
-        return d.is_zero or d.valuation >= abs_prec
+        return d.mantissa is None or d.valuation >= abs_prec
 
     def __repr__(self):
         if self.mantissa is None:

@@ -185,13 +185,50 @@ def test_three_command_rejects_level_one(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_three_command_builds_no_group_ring_product(capsys, monkeypatch):
+def test_three_command_builds_one_group_ring_product(capsys, monkeypatch):
+    # every n reads the one cached level table of h_N mu_chi: a rebuild per n
+    # would make one product per even n <= nmax (three by default)
     from iwasawa import group_algebra
 
-    def refuse(self, other):
-        raise AssertionError("group-ring product built")
+    calls = []
+    product = group_algebra.GroupRingElement.__mul__
+
+    def counting(self, other):
+        calls.append(self.modulus)
+        return product(self, other)
 
     group_algebra._hmu_rows.cache_clear()
-    monkeypatch.setattr(group_algebra.GroupRingElement, "__mul__", refuse)
+    monkeypatch.setattr(group_algebra.GroupRingElement, "__mul__", counting)
     code, _, _ = run(capsys, "three")
     assert code == 0
+    assert len(calls) == 1
+
+
+def _readme_block(readme: str, after: str) -> list[str]:
+    """The lines of the first fenced block after the heading or text `after`."""
+    body = readme[readme.index(after):].split("```")[1]
+    return [ln for ln in body.strip().splitlines() if ln]
+
+
+def test_every_readme_command_line_runs(capsys, tmp_path, monkeypatch):
+    import shlex
+    from pathlib import Path
+
+    from iwasawa.cli import entry
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (tmp_path / "series.txt").write_text("5 6 4\n1:1\n0:3\n0:1\n0:0\n2:1\n0:4\n")
+    (tmp_path / "module.txt").write_text("\n".join(_readme_block(readme, "A module file for")) + "\n")
+    monkeypatch.chdir(tmp_path)
+    outputs = {}
+    for line in _readme_block(readme, "## Command line"):
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "iwasawa"
+        code = entry(argv[1:])
+        outputs[" ".join(argv[1:])] = (comment.strip(), capsys.readouterr().out)
+        assert code == 0, line
+    comment, out = outputs["irregular -p 691"]
+    assert comment == "-> [12, 200]" and "[12, 200]" in out
+    comment, out = outputs["eigenspace -p 37"]
+    assert comment == "-> 37^1 at n = 32" and "32  1  37^1" in out.splitlines()

@@ -61,6 +61,31 @@ def test_binomial_at_an_inexact_zero():
     assert padic_binomial(PadicNumber.zero(5), 10).abs_precision is None
 
 
+def test_agrees_only_up_to_the_known_digits():
+    # the difference is O(5^4): it vanishes mod 5^4 but is unknown mod 5^8
+    x, y = PadicNumber.from_int(1, 5, 4), PadicNumber.from_int(1 + 5**6, 5, 8)
+    assert x.agrees(y, 4)
+    assert not x.agrees(y, 8)
+    assert PadicNumber.zero(5).agrees(PadicNumber.zero(5), 100)
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_scalar_mul_is_capped_by_the_scalar_precision(c):
+    f = TruncatedSeries(5, [1, 2, 3], 8)
+    g = f.scalar_mul(PadicNumber.from_int(c, 5, 2))
+    assert g.prec == 2 and g.coeffs == tuple(c * a % 25 for a in f.coeffs)
+
+
+def test_scalar_mul_by_an_exact_scalar_keeps_the_series_precision():
+    f = TruncatedSeries(5, [1, 2, 3], 8)
+    assert f.scalar_mul(PadicNumber.from_int(7, 5, 20)) == f.scalar_mul(7)
+    assert f.scalar_mul(PadicNumber.zero(5)).prec == 8
+    assert f.scalar_mul(3).prec == 8
+    assert f.scalar_mul(Fraction(1, 2)).scalar_mul(2) == f
+    with pytest.raises(ValueError):
+        f.scalar_mul(PadicNumber.from_int(0, 5, 0))
+
+
 def test_series_coefficient_zero_is_known_mod_p_prec():
     f = TruncatedSeries(5, [0, 1, 25], 4)
     assert f.coeff(0).abs_precision == 4
