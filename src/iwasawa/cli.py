@@ -135,9 +135,21 @@ def cmd_weierstrass(cfg: RunConfig, series_file: str, roundtrip: bool) -> int:
     return _emit(cfg, "weierstrass", {"rows": rows}, ok)
 
 
+# Largest (rmax - e)(rmax log2(p) + sum_j d_j^3) of a command-line growth run:
+# per level, the bits of a mu p^r exponent and one d_j x d_j determinant per
+# distinguished factor; (p, d, rmax) = (5, 36, 20), work 9.3e5, runs in about
+# 0.5 s on a 2-vCPU x86 VM.
+MAX_GROWTH_WORK = 10**6
+
+
 def cmd_growth(cfg: RunConfig, module_file: str, e: int, r_max: int) -> int:
     with open(module_file) as fh:
         E = lambda_modules.parse_module_file(fh.read())
+    degrees = [len(q) - 1 for q in E.dist_polys]
+    if max(r_max - e, 0) * (r_max * E.prime.bit_length() + sum(d**3 for d in degrees)) > MAX_GROWTH_WORK:
+        raise ValueError(f"growth from e = {e} to rmax = {r_max} at p = {E.prime} with factor degrees "
+                         f"{degrees} exceeds the work bound (rmax - e)(rmax log2(p) + sum deg^3) "
+                         f"<= {MAX_GROWTH_WORK:.0e}")
     rep = lambda_modules.growth_sequence(E, e, r_max)
     rows = [[k, v] for k, v in rep.as_dict().items()]
     return _emit(cfg, "growth", {"rows": rows}, rep.passed)

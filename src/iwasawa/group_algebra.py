@@ -383,10 +383,17 @@ def h_char_value(N: int, p: int, spec: PadicCharSpec, prec: int = 20) -> PadicNu
     Unlike evaluating the level-r image of h_N (canonical only mod p^r),
     this closed form carries full precision; that matters on the branch
     where the interpolated L-values have negative valuation.
+
+    At an integer s != 1 the value has valuation v = 1 + v_p(N) + v_p(1-s)
+    and is wanted mod p^(v+prec); 1+Np has order dividing p^(v+prec-1)
+    there, so the exponent is reduced mod that and one modular power taken.
     """
     s = spec.wild_exponent
     if isinstance(s, int):
-        return PadicNumber.from_rational(1 - Fraction(1 + N * p) ** (1 - s), p, prec)
+        if s == 1 or N == 0:
+            return PadicNumber.from_rational(0, p, prec)
+        K = 1 + int_vp(N, p) + int_vp(1 - s, p) + prec
+        return PadicNumber(p, 0, 1 - pow(1 + N * p, (1 - s) % p ** (K - 1), p**K), K)
     u = PadicNumber.from_int(1 + N * p, p, prec)
     return 1 - unit_power(u, 1 - s)
 

@@ -17,7 +17,8 @@ from .iwaseries import (
     IndeterminateWithinTruncation,
     TruncatedSeries,
     mu_lambda_of,
-    nu_rm_poly,
+    mul_trunc,
+    phi_poly,
     poly_divmod_monic,
     poly_mul,
     poly_trim,
@@ -191,14 +192,106 @@ class GrowthReport:
         }
 
 
+def _reduce(a: list[int], D: list[int], mod: int) -> list[int]:
+    """a modulo (D, mod) for a monic D of degree d, as d residues."""
+    rem = poly_divmod_monic(a, D)[1]
+    return [c % mod for c in rem] + [0] * (len(D) - 1 - len(rem))
+
+
+def _mulmod(a: list[int], b: list[int], D: list[int], mod: int) -> list[int]:
+    return _reduce(mul_trunc(a, b, mod, 2 * len(D) - 3), D, mod)
+
+
+def _geometric_power(y: list[int], p: int, D: list[int], mod: int) -> tuple[list[int], list[int]]:
+    """(1 + y + ... + y^(p-1), y^p) modulo (D, mod), by square-and-multiply on
+    the bits of p: S_2m = S_m (1 + y^m) and S_(m+1) = S_m + y^m."""
+    s, t = _reduce([1], D, mod), y
+    for bit in bin(p)[3:]:
+        s = _mulmod(s, [(t[0] + 1) % mod] + t[1:], D, mod)
+        t = _mulmod(t, t, D, mod)
+        if bit == "1":
+            s = [(a + b) % mod for a, b in zip(s, t)]
+            t = _mulmod(t, y, D, mod)
+    return s, t
+
+
+def _det_valuation(mat: list[list[int]], p: int, K: int) -> int | None:
+    """v_p(det mat) read from the entries mod p^K, None when a Schur
+    complement vanishes mod p^K.  A pivot p^v u of least valuation divides
+    its column, so clearing the column with u^(-1) mod p^K leaves a
+    complement known mod p^K, and det = +-p^v u det(complement)."""
+    mod = p**K
+    m = [[c % mod for c in row] for row in mat]
+    total = 0
+    while m:
+        nonzero = [(int_vp(c, p), i, j) for i, row in enumerate(m) for j, c in enumerate(row) if c]
+        if not nonzero:
+            return None
+        v, i0, j0 = min(nonzero)
+        total += v
+        pivot_row, inv = m[i0], pow(m[i0][j0] // p**v, -1, mod)
+        m = [[(c - row[j0] // p**v * inv * pivot_row[j]) % mod for j, c in enumerate(row) if j != j0]
+             for i, row in enumerate(m) if i != i0]
+    return total
+
+
+def _tower_valuations_mod(D: list[int], p: int, e: int, r_max: int, K: int) -> list[int] | None:
+    d, mod = len(D) - 1, p**K
+    one = _reduce([1], D, mod)
+    y, vals = _reduce([1, 1], D, mod), []
+    for k in range(1, r_max + 1):
+        if y == one:  # y stays 1: Phi = p and the determinant is p^d from here on
+            return vals + [d] * (r_max - max(k - 1, e))
+        phi, y = _geometric_power(y, p, D, mod)
+        if k > e:
+            v = _det_valuation(_mult_matrix(D, phi), p, K)
+            if v is None:
+                return None
+            vals.append(v)
+    return vals
+
+
+def _tower_valuations(D: list[int], p: int, e: int, r_max: int) -> list[int]:
+    """[v_p(Res(D, Phi_(p^k)(1+T))) for e < k <= r_max], for D distinguished of
+    degree d >= 1 that no such Phi_(p^k)(1+T) divides.
+
+    Each resultant is the determinant of multiplication by
+    Phi_(p^k)(1+T) = 1 + y + ... + y^(p-1), y = (1+T)^(p^(k-1)), on
+    Z_p[T]/(D), and y is carried from level to level as a p-th power mod
+    (D, p^K).  K starts at d + 2 and doubles while some determinant is 0 mod
+    p^K; none is 0 exactly, so this ends."""
+    K = len(D) + 1
+    while (vals := _tower_valuations_mod(D, p, e, r_max, K)) is None:
+        K *= 2
+    return vals
+
+
 def growth_sequence(E: ElementaryModule, e: int, r_max: int) -> GrowthReport:
     """Orders |E/(omega_r/omega_e)E| = p^(e_r) for e < r <= r_max, with the
-    fitted (mu, lambda, c) and the stabilization point r0."""
+    fitted (mu, lambda, c) and the stabilization point r0.
+
+    omega_r/omega_e = prod_(e<k<=r) Phi_(p^k)(1+T), of degree p^r, is never
+    built.  It has mu = 0 and Weierstrass degree p^r - p^e, which each
+    Lambda/(p^mu_i) multiplies by mu_i; each distinguished factor adds its
+    resultant valuations level by level (`_tower_valuations`).  The quotient
+    is infinite exactly when some Phi_(p^k)(1+T), e < k <= r_max, divides a
+    factor, which needs phi(p^k) <= its degree."""
     p = E.prime
-    exps = {}
-    for r in range(e + 1, r_max + 1):
-        g = nu_rm_poly(p, r, e)
-        exps[r] = quotient_order_exponent(E, g)
+    if e < 0:
+        raise ValueError("need e >= 0")
+    polys = [poly_trim(list(q)) for q in E.dist_polys]
+    for D in polys:
+        k = e + 1
+        while k <= r_max and p ** (k - 1) * (p - 1) <= len(D) - 1:
+            if not poly_divmod_monic(D, phi_poly(p, k))[1]:
+                raise ValueError("quotient is infinite")
+            k += 1
+    towers = [_tower_valuations(D, p, e, r_max) for D in polys if len(D) > 1]
+    mu = sum(E.p_exponents)
+    exps, total = {}, 0
+    for i, r in enumerate(range(e + 1, r_max + 1)):
+        total += sum(vals[i] for vals in towers)
+        exps[r] = mu * (p**r - p**e) + total
     rs = sorted(exps)
     mu_fit = lambda_fit = c_fit = r0 = None
     matches = False

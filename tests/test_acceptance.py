@@ -231,14 +231,15 @@ def test_criterion_09_growth_grid():
                     assert rep.passed, (p, ppows, dists, rep.as_dict())
                     assert (rep.mu_fit, rep.lambda_fit) == (mu_e, lam_e)
                     assert rep.r0 is not None and rep.r0 <= 5
-                    # every instance cross-checked against the Smith-form oracle
+                    # every level of the tower cross-checked against the exact
+                    # resultant route and the Smith-form oracle
                     for r in range(1, 6):
                         g = nu_rm_poly(p, r, 0)
                         main = quotient_order_exponent(E, g)
                         oracle = sum(mu_i * (len(g) - 1) for mu_i in ppows)
                         for P in dists:
                             oracle += quotient_order_oracle(list(P), g, p)
-                        assert main == oracle, (p, ppows, dists, r)
+                        assert rep.exponents[r] == main == oracle, (p, ppows, dists, r)
 
 
 def test_criterion_10_measures():

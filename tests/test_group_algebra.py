@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from iwasawa.group_algebra import (
     residue_unit_check,
     stickelberger,
 )
-from iwasawa.padic import PadicNumber, vp_diff
+from iwasawa.padic import PadicNumber, int_vp, vp_diff
 
 
 def close(x, y, absprec):
@@ -199,6 +200,24 @@ def test_h_char_value_padic_exponent():
     s_int = h_char_value(1, p, PadicCharSpec(0, -3), 8)
     s_pad = h_char_value(1, p, PadicCharSpec(0, PadicNumber.from_int(-3, p, 8)), 8)
     assert vp_diff(s_int, s_pad) >= 7
+
+
+def test_h_char_value_integer_s_is_the_exact_rational_value():
+    # the modular power equals the exact rational 1 - (1+Np)^(1-s) read to
+    # prec digits, digit for digit, and a huge s costs one modular power;
+    # N = p checks the v_p(N) in the working precision
+    for p in (3, 5, 7):
+        for N in (1, 2, p):
+            for prec in (1, 6):
+                for s in range(-60, 61):
+                    got = h_char_value(N, p, PadicCharSpec(0, s), prec)
+                    want = PadicNumber.from_rational(1 - Fraction(1 + N * p) ** (1 - s), p, prec)
+                    assert (got.valuation, got.mantissa, got.precision) == (
+                        want.valuation, want.mantissa, want.precision), (p, N, prec, s)
+    t0 = time.perf_counter()
+    v = h_char_value(1, 5, PadicCharSpec(0, 48 * 10**12), 10)
+    assert time.perf_counter() - t0 < 1
+    assert v.valuation == 1 + int_vp(1 - 48 * 10**12, 5) and v.precision == 10
 
 
 def test_interp_unit_L_part_at_the_example_point():

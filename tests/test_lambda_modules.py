@@ -183,6 +183,41 @@ def test_growth_examples():
     assert rep.r0 is not None and rep.r0 <= 5
 
 
+def test_growth_tower_kernel_matches_the_exact_resultant_route():
+    # the p-adic tower kernel never builds omega_r/omega_e; the exact route
+    # takes v_p of the integer resultant with it, level by level
+    p = 7
+    cubics = [(p**3, 0, p, 1), (p, p, 0, 1)]
+    modules = [ElementaryModule(p, (), (q,)) for q in cubics] + [ElementaryModule(p, (1,), tuple(cubics))]
+    for E in modules:
+        for e in (0, 1, 2):
+            rep = growth_sequence(E, e, 4)
+            assert rep.exponents == {r: quotient_order_exponent(E, nu_rm_poly(p, r, e)) for r in range(e + 1, 5)}
+
+
+def test_growth_of_a_cyclotomic_factor_is_infinite_only_below_it():
+    # T^2 + 3T + 3 = Phi_3(1+T) divides omega_1/omega_0, not omega_r/omega_1
+    E = ElementaryModule(3, (), ((3, 3, 1),))
+    with pytest.raises(ValueError, match="quotient is infinite"):
+        growth_sequence(E, 0, 4)
+    rep = growth_sequence(E, 1, 4)
+    assert rep.exponents == {r: quotient_order_exponent(E, nu_rm_poly(3, r, 1)) for r in (2, 3, 4)}
+    with pytest.raises(ValueError):
+        growth_sequence(E, -1, 4)
+
+
+def test_growth_holds_its_fit_to_level_30():
+    E = ElementaryModule(5, (1,), ((5, 0, 1), (10, 5, 0, 1)))
+    rep = growth_sequence(E, 0, 30)
+    assert rep.passed and (rep.mu_fit, rep.lambda_fit) == (1, 5) and rep.r0 <= 5
+    assert all(v == 5**r + 5 * r + rep.c_fit for r, v in rep.exponents.items())
+    # a factor close to Phi_5(1+T) has a large first resultant, read after
+    # the p-adic precision doubles
+    near = ElementaryModule(5, (), (tuple(c + 5**9 * (i == 0) for i, c in enumerate(phi_poly(5, 1))),))
+    rep = growth_sequence(near, 0, 30)
+    assert rep.exponents[1] == quotient_order_exponent(near, phi_poly(5, 1)) and rep.passed
+
+
 def test_phi_acts_as_p_times_unit():
     # for P distinguished of degree d and p^(s-1) >= d, the Phi_s-quotient
     # of Lambda/(P) has order p^(deg P)

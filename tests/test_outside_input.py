@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from iwasawa import lambda_modules
 from iwasawa.cli import entry, main
 from iwasawa.exactq import bernoulli_poly, bernoulli_poly_eval
 from iwasawa.iwaseries import MAX_FILE_PREC, TruncatedSeries
@@ -47,6 +48,30 @@ def test_series_files_that_could_hang_exit_2_promptly(tmp_path, capsys, text):
     path.write_text(text)
     code, seconds, err = _timed_entry(["weierstrass", str(path)], capsys)
     assert code == 2 and err.startswith("error:") and seconds < 1
+
+
+def test_growth_work_bound_refuses_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a growth sequence was computed")
+
+    monkeypatch.setattr(lambda_modules, "growth_sequence", refuse)
+    module = tmp_path / "module.txt"
+    module.write_text("p 3\nppow 1\ndist 9 3 1\n")
+    big = tmp_path / "big.txt"
+    big.write_text("p 5\ndist " + "5 " * 120 + "1\n")
+    for argv in (["growth", str(module), "--rmax", "1000000"], ["growth", str(big), "--rmax", "2"]):
+        code, seconds, err = _timed_entry(argv, capsys)
+        assert code == 2 and err.startswith("error:") and "work bound" in err and seconds < 1
+
+
+def test_growth_to_level_30_is_prompt_and_an_infinite_quotient_exits_2(tmp_path, capsys):
+    module = tmp_path / "module.txt"
+    module.write_text("p 5\nppow 1\ndist 5 0 1\ndist 10 5 0 1\n")
+    code, seconds, err = _timed_entry(["growth", str(module), "--rmax", "30", "--json"], capsys)
+    assert code == 0 and seconds < 1
+    module.write_text("p 3\ndist 3 3 1\n")  # Phi_3(1+T)
+    code, seconds, err = _timed_entry(["growth", str(module)], capsys)
+    assert code == 2 and err == "error: quotient is infinite\n"
 
 
 def test_series_file_precision_bound_and_high_valuations():
