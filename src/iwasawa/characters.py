@@ -231,15 +231,6 @@ def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumbe
     return _materialize(_grouped_rational_sums(chi, weights), chi.prime, prec)
 
 
-def gen_bernoulli_limit_oracle(n: int, chi: DirichletCharacter, j: int, prec: int = 20) -> PadicNumber:
-    """The finite approximation (1/(N p^j)) sum_(a<=N p^j) chi(a) a^n."""
-    N = max(chi.modulus, 1)
-    p = chi.prime
-    top = N * p**j
-    weights = ((a, Fraction(a**n, top)) for a in range(1, top + 1))
-    return _materialize(_grouped_rational_sums(chi, weights), p, prec)
-
-
 def L_neg(chi: DirichletCharacter, n: int, prec: int = 20) -> PadicNumber:
     """L(chi, 1-n) = -B_(n,chi)/n as a p-adic value."""
     return -gen_bernoulli(n, chi, prec) / n

@@ -12,7 +12,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from . import coleman, exactq, group_algebra, lambda_modules, measures
 from .characters import DirichletCharacter, quadratic_char
@@ -20,27 +19,13 @@ from .iwaseries import TruncatedSeries
 from .padic import PadicNumber, _check_odd_prime, decompose_unit, pexp, plog, teichmuller, vp_diff
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    prime: int = 5
-    prec: int = 8
-    trunc: int = 24
-    json_mode: bool = False
-
-    def __post_init__(self):
-        _check_odd_prime(self.prime)
-        if self.prec < 1 or self.trunc < 1:
-            raise ValueError("prec and trunc must be >= 1")
-
-
-def _emit(cfg: RunConfig, command: str, payload: dict, passed: bool) -> int:
-    if cfg.json_mode:
-        doc = {
-            "command": command,
-            "config": {"prime": cfg.prime, "prec": cfg.prec, "trunc": cfg.trunc},
-            **payload,
-            "pass": passed,
-        }
+def _emit(args: argparse.Namespace, payload: dict, passed: bool, **read) -> int:
+    """Print a report.  Its JSON `config` is what this subcommand parsed, with
+    `read` holding values taken from an input file (the prime of a series or
+    module file)."""
+    if args.json:
+        parsed = {k: v for k, v in vars(args).items() if k not in ("command", "run", "json")}
+        doc = {"command": args.command, "config": {**parsed, **read}, **payload, "pass": passed}
         print(json.dumps(_json_safe(doc), sort_keys=True, default=str, allow_nan=False))
     else:
         for row in payload.get("rows", []):
@@ -61,7 +46,8 @@ def _json_safe(x):
     return str(x) if isinstance(x, float) and math.isinf(x) else x
 
 
-def cmd_bernoulli(cfg: RunConfig, upto: int) -> int:
+def cmd_bernoulli(args) -> int:
+    upto = args.upto
     limit = exactq.first_unprintable_index()
     if upto > limit:
         raise ValueError(f"--upto {upto} reaches B_{limit}, whose numerator has more than "
@@ -72,23 +58,25 @@ def cmd_bernoulli(cfg: RunConfig, upto: int) -> int:
     for n in indices:
         zeta = str(exactq.zeta_neg(n)) if n >= 1 else "-"
         rows.append([n, str(exactq.bernoulli(n)), zeta])
-    return _emit(cfg, "bernoulli", {"rows": rows}, True)
+    return _emit(args, {"rows": rows}, True)
 
 
-def cmd_irregular(cfg: RunConfig) -> int:
-    idx = sorted(exactq.irregular_indices(cfg.prime))
-    rows = [[f"irregular indices for p={cfg.prime}:", idx]]
-    return _emit(cfg, "irregular", {"rows": rows, "indices": idx}, True)
+def cmd_irregular(args) -> int:
+    idx = sorted(exactq.irregular_indices(args.prime))
+    rows = [[f"irregular indices for p={args.prime}:", idx]]
+    return _emit(args, {"rows": rows, "indices": idx}, True)
 
 
-def cmd_interp(cfg: RunConfig, chi_name: str, n_max: int, r_min: int, r_max: int,
-               single_n: int | None) -> int:
-    p = cfg.prime
+def cmd_interp(args) -> int:
+    p, chi_name, r_min, r_max = args.prime, args.chi, args.rmin, args.rmax
     chi = _chi_by_name(chi_name, p)
     prec = r_max + 6
     checks = []
     ok = True
-    ns = [single_n] if single_n is not None else list(range(1, n_max + 1))
+    if args.n is None:
+        ns = list(range(1, args.nmax + 1))
+    else:
+        ns, args.nmax = [args.n], None  # the report shows that no range 1..nmax ran
     for j in range(p - 1):
         for n in ns:
             vals = []
@@ -106,7 +94,7 @@ def cmd_interp(cfg: RunConfig, chi_name: str, n_max: int, r_min: int, r_max: int
             monotone = all(a <= b for a, b in zip(capped, capped[1:]))
             ok &= monotone
             checks.append(f"chi={chi_name} j={j} n={n}: nondecreasing in r: {monotone}")
-    return _emit(cfg, "interp", {"checks": checks}, ok)
+    return _emit(args, {"checks": checks}, ok)
 
 
 def _chi_by_name(name: str, p: int) -> DirichletCharacter:
@@ -117,8 +105,8 @@ def _chi_by_name(name: str, p: int) -> DirichletCharacter:
     raise ValueError(f"unknown character spec {name!r} (use trivial or quadratic3)")
 
 
-def cmd_weierstrass(cfg: RunConfig, series_file: str, roundtrip: bool) -> int:
-    with open(series_file) as fh:
+def cmd_weierstrass(args) -> int:
+    with open(args.series_file) as fh:
         f = TruncatedSeries.from_text(fh.read())
     fac = f.weierstrass_prep()
     rows = [
@@ -129,10 +117,10 @@ def cmd_weierstrass(cfg: RunConfig, series_file: str, roundtrip: bool) -> int:
         ["valid_mod", f"(p^{fac.p_precision + fac.mu}, T^{fac.t_window})"],
     ]
     ok = True
-    if roundtrip:
+    if args.roundtrip:
         ok = fac.matches_source()
         rows.append(["roundtrip", ok])
-    return _emit(cfg, "weierstrass", {"rows": rows}, ok)
+    return _emit(args, {"rows": rows}, ok, prime=f.prime)
 
 
 # Largest (rmax - e)(rmax log2(p) + sum_j d_j^3) of a command-line growth run:
@@ -142,8 +130,9 @@ def cmd_weierstrass(cfg: RunConfig, series_file: str, roundtrip: bool) -> int:
 MAX_GROWTH_WORK = 10**6
 
 
-def cmd_growth(cfg: RunConfig, module_file: str, e: int, r_max: int) -> int:
-    with open(module_file) as fh:
+def cmd_growth(args) -> int:
+    e, r_max = args.e, args.rmax
+    with open(args.module_file) as fh:
         E = lambda_modules.parse_module_file(fh.read())
     degrees = [len(q) - 1 for q in E.dist_polys]
     if max(r_max - e, 0) * (r_max * E.prime.bit_length() + sum(d**3 for d in degrees)) > MAX_GROWTH_WORK:
@@ -152,7 +141,7 @@ def cmd_growth(cfg: RunConfig, module_file: str, e: int, r_max: int) -> int:
                          f"<= {MAX_GROWTH_WORK:.0e}")
     rep = lambda_modules.growth_sequence(E, e, r_max)
     rows = [[k, v] for k, v in rep.as_dict().items()]
-    return _emit(cfg, "growth", {"rows": rows}, rep.passed)
+    return _emit(args, {"rows": rows}, rep.passed, prime=E.prime)
 
 
 # Largest M^2 N log2(p) of a command-line Coleman window (one measure of M
@@ -161,16 +150,17 @@ def cmd_growth(cfg: RunConfig, module_file: str, e: int, r_max: int) -> int:
 MAX_COLEMAN_WORK = 10**8
 
 
-def _coleman_window(cfg: RunConfig, n_max: int, pairs: int = 1) -> tuple[int, int]:
+def _coleman_window(args, n_max: int, pairs: int = 1) -> tuple[int, int]:
     """Series truncation M and p-adic precision N for moments up to n_max.
     One measure of M coefficients mod p^N per pair (a, b) serves every moment:
     windows whose pairs M^2 N log2(p) exceeds MAX_COLEMAN_WORK are refused.
     Each moment then costs one D step (n_max M N <= M^2 N, since M > n_max)
     and an exact B_n reference, so n_max is held to the exact-Bernoulli
     budget as well."""
-    M, N = max(cfg.trunc, n_max + (cfg.prec + 2) * (cfg.prime - 1) + 2), cfg.prec
-    if pairs * M * M * N * cfg.prime.bit_length() > MAX_COLEMAN_WORK:
-        raise ValueError(f"Coleman window (M, N) = ({M}, {N}) at p = {cfg.prime} for {pairs} pair(s) "
+    p = args.prime
+    M, N = max(args.trunc, n_max + (args.prec + 2) * (p - 1) + 2), args.prec
+    if pairs * M * M * N * p.bit_length() > MAX_COLEMAN_WORK:
+        raise ValueError(f"Coleman window (M, N) = ({M}, {N}) at p = {p} for {pairs} pair(s) "
                          f"exceeds the work bound pairs M^2 N log2(p) <= {MAX_COLEMAN_WORK:.0e}")
     if n_max > group_algebra.BERNOULLI_INDEX_LIMIT:
         raise ValueError(f"{n_max} moments exceed the work bound nmax <= "
@@ -178,25 +168,30 @@ def _coleman_window(cfg: RunConfig, n_max: int, pairs: int = 1) -> tuple[int, in
     return M, N
 
 
-def cmd_coleman(cfg: RunConfig, n_max: int, pairs: str, min_agree: int) -> int:
-    p = cfg.prime
+# Digits of agreement with the exact value that `coleman` and `three` require
+# of every Coleman moment.
+COLEMAN_MIN_AGREE = 3
+
+
+def cmd_coleman(args) -> int:
+    p, n_max = args.prime, args.nmax
     pair_list = []
-    for chunk in pairs.split(";"):
+    for chunk in args.pairs.split(";"):
         a, b = (int(x) for x in chunk.split(","))
         pair_list.append((a, b))
-    M, N = _coleman_window(cfg, n_max, len(pair_list))
+    M, N = _coleman_window(args, n_max, len(pair_list))
     rows = [["n", "pair", "moment/(b^n-a^n)", "reference", "agree_val"]]
     ok = True
     for a, b in pair_list:
         for n, val in enumerate(coleman.zeta_moments(range(1, n_max + 1), a, b, p, M, N), 1):
             ref = PadicNumber.from_rational(exactq.euler_stripped_zeta(n, p), p, N + 2)
             agree = vp_diff(val, ref)
-            ok &= agree >= min_agree
+            ok &= agree >= COLEMAN_MIN_AGREE
             rows.append([n, f"({a},{b})", repr(val), repr(ref), agree])
-    return _emit(cfg, "coleman", {"rows": rows}, ok)
+    return _emit(args, {"rows": rows}, ok)
 
 
-def cmd_three(cfg: RunConfig, r: int, k: int, n_max: int) -> int:
+def cmd_three(args) -> int:
     """(1 - p^(n-1)) zeta(1-n) for even n <= n_max, built three ways and each
     compared with the exact value: the level-r Stickelberger element at
     kappa^(1-n), Coleman moments, and the Kummer limit at n + p^k (p-1).
@@ -206,10 +201,11 @@ def cmd_three(cfg: RunConfig, r: int, k: int, n_max: int) -> int:
     congruence holds for the c-regularized values, so those are gated and
     the plain quotient is only reported.
     """
+    r, k, n_max = args.level, args.kummer_k, args.nmax
     if n_max < 2:
         raise ValueError("need nmax >= 2")
-    p, prec, c = cfg.prime, r + 4, 2
-    M, N = _coleman_window(cfg, n_max)
+    p, prec, c = args.prime, r + 4, 2
+    M, N = _coleman_window(args, n_max)
     triv = DirichletCharacter.trivial(1, p)
     rows = [["n", "construction", "value", "agree_val", "min_agree"]]
     ok = True
@@ -222,7 +218,7 @@ def cmd_three(cfg: RunConfig, r: int, k: int, n_max: int) -> int:
         s_val = lhs / group_algebra.h_char_value(1, p, spec, prec + 4)
         o_val = group_algebra.branch_limit_oracle(p, n, k, c)
         legs = [("stickelberger", repr(s_val), vp_diff(s_val, exact), r - 1 - exactq.vp(n, p)),
-                ("coleman", repr(c_val), vp_diff(c_val, exact), 3)]
+                ("coleman", repr(c_val), vp_diff(c_val, exact), COLEMAN_MIN_AGREE)]
         if n % (p - 1):
             legs.append(("kummer limit", repr(o_val), vp_diff(o_val, exact), k + 1))
         else:
@@ -233,23 +229,24 @@ def cmd_three(cfg: RunConfig, r: int, k: int, n_max: int) -> int:
         for name, val, agree, need in legs:
             ok &= need is None or agree >= need
             rows.append([n, name, val, agree, "-" if need is None else need])
-    return _emit(cfg, "three", {"rows": rows}, ok)
+    return _emit(args, {"rows": rows}, ok)
 
 
-def cmd_eigenspace(cfg: RunConfig) -> int:
+def cmd_eigenspace(args) -> int:
+    p = args.prime
     rows = [["n", "v_p(B_(1,omega^(n-1)))", "predicted eigenspace order"]]
     nontrivial = []
     # B_(1,omega^(n-1)) = B_n/n mod p (Washington, Cyclotomic Fields, Cor. 5.15):
     # it is a unit except at the irregular indices
-    for n in sorted(exactq.irregular_indices(cfg.prime)):
-        v = lambda_modules.eigenspace_order_prediction(cfg.prime, n, prec=6)
+    for n in sorted(exactq.irregular_indices(p)):
+        v = lambda_modules.eigenspace_order_prediction(p, n, prec=6)
         nontrivial.append((n, v))
-        rows.append([n, v, f"{cfg.prime}^{v}"])
+        rows.append([n, v, f"{p}^{v}"])
     rows.append(["(all other even n give trivial eigenspaces)", "", ""])
-    return _emit(cfg, "eigenspace", {"rows": rows, "nontrivial": nontrivial}, True)
+    return _emit(args, {"rows": rows, "nontrivial": nontrivial}, True)
 
 
-def cmd_selfcheck(cfg: RunConfig) -> int:
+def cmd_selfcheck(args) -> int:
     checks = []
     ok = True
 
@@ -273,7 +270,7 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
         z = PadicNumber.from_int(rng.randrange(1, p**5) * p + 1, p, 8)
         t, u = decompose_unit(z + 1 if (z + 1).residue() else z + 2)
         record(f"unit decomposition p={p}", (t * u).agrees(z + 1 if (z + 1).residue() else z + 2, 7))
-    p = cfg.prime
+    p = args.prime
     for trial in range(10):
         coeffs = [rng.randrange(p**6) for _ in range(20)]
         coeffs[rng.randrange(3)] |= 1  # ensure a unit appears early
@@ -295,53 +292,62 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     record("growth Lambda/(p)", lambda_modules.growth_sequence(E, 0, 5).passed)
     rep = group_algebra.interp_check(DirichletCharacter.trivial(1, 5), 0, 2, 3)
     record("interp smoke", rep.passed)
-    return _emit(cfg, "selfcheck", {"checks": checks}, ok)
+    return _emit(args, {"checks": checks}, ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-p", "--prime", type=int, default=5)
-    common.add_argument("--prec", type=int, default=8, help="p-adic precision N")
-    common.add_argument("--trunc", type=int, default=24, help="series truncation M")
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    """One parser per subcommand, holding only the options that subcommand reads."""
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="emit a JSON report")
+    prime = argparse.ArgumentParser(add_help=False)
+    prime.add_argument("-p", "--prime", type=int, default=5)
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--prec", type=int, default=8, help="p-adic precision N")
+    window.add_argument("--trunc", type=int, default=24, help="series truncation M")
 
     ap = argparse.ArgumentParser(prog="iwasawa", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bernoulli", parents=[common], help="table of B_n and zeta(1-n) for n < UPTO")
+    def command(name, run, help, *parents):
+        # no abbreviations: `--n` is its own option to interp, not --nmax elsewhere
+        parser = sub.add_parser(name, parents=[*parents, report], help=help, allow_abbrev=False)
+        parser.set_defaults(run=run)
+        return parser
+
+    b = command("bernoulli", cmd_bernoulli, "table of B_n and zeta(1-n) for n < UPTO")
     b.add_argument("--upto", type=int, default=18)
 
-    sub.add_parser("irregular", parents=[common], help="irregular indices of the prime")
+    command("irregular", cmd_irregular, "irregular indices of the prime", prime)
 
-    itp = sub.add_parser("interp", parents=[common], help="finite-level interpolation agreement grid")
+    itp = command("interp", cmd_interp, "finite-level interpolation agreement grid", prime)
     itp.add_argument("--chi", default="trivial", help="trivial or quadratic3")
-    itp.add_argument("--nmax", type=int, default=4)
     itp.add_argument("--rmin", type=int, default=3)
     itp.add_argument("--rmax", type=int, default=4)
-    itp.add_argument("--n", type=int, default=None, help="run a single interpolation index")
+    indices = itp.add_mutually_exclusive_group()
+    indices.add_argument("--nmax", type=int, default=4, help="run the indices 1..NMAX")
+    indices.add_argument("--n", type=int, default=None, help="run a single interpolation index")
 
-    w = sub.add_parser("weierstrass", parents=[common], help="factor a series file")
+    w = command("weierstrass", cmd_weierstrass, "factor a series file (its header gives the prime)")
     w.add_argument("series_file")
     w.add_argument("--roundtrip", action="store_true")
 
-    g = sub.add_parser("growth", parents=[common], help="growth exponents of a module file")
+    g = command("growth", cmd_growth, "growth exponents of a module file (its `p` line gives the prime)")
     g.add_argument("module_file")
     g.add_argument("--e", type=int, default=0)
     g.add_argument("--rmax", type=int, default=5)
 
-    c = sub.add_parser("coleman", parents=[common], help="Coleman moment table against zeta values")
+    c = command("coleman", cmd_coleman, "Coleman moment table against zeta values", prime, window)
     c.add_argument("--nmax", type=int, default=4)
     c.add_argument("--pairs", default="1,3")
-    c.add_argument("--min-agree", type=int, default=3)
 
-    t = sub.add_parser("three", parents=[common], help="zeta values built three ways, cross-checked")
+    t = command("three", cmd_three, "zeta values built three ways, cross-checked", prime, window)
     t.add_argument("--level", type=int, default=6, help="Stickelberger level r")
     t.add_argument("--kummer-k", type=int, default=2)
     t.add_argument("--nmax", type=int, default=6)
 
-    sub.add_parser("eigenspace", parents=[common], help="predicted class-group eigenspace orders")
+    command("eigenspace", cmd_eigenspace, "predicted class-group eigenspace orders", prime)
 
-    sub.add_parser("selfcheck", parents=[common], help="run the built-in invariant suite")
+    command("selfcheck", cmd_selfcheck, "run the built-in invariant suite", prime)
     return ap
 
 
@@ -353,27 +359,12 @@ def main(argv=None) -> int:
     ValueError to the caller; `entry` reports it the same way.
     """
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(args.prime, args.prec, args.trunc, args.json)
+    if "prime" in args:
+        _check_odd_prime(args.prime)
+    if "prec" in args and min(args.prec, args.trunc) < 1:
+        raise ValueError("prec and trunc must be >= 1")
     try:
-        if args.command == "bernoulli":
-            return cmd_bernoulli(cfg, args.upto)
-        if args.command == "irregular":
-            return cmd_irregular(cfg)
-        if args.command == "interp":
-            return cmd_interp(cfg, args.chi, args.nmax, args.rmin, args.rmax, args.n)
-        if args.command == "weierstrass":
-            return cmd_weierstrass(cfg, args.series_file, args.roundtrip)
-        if args.command == "growth":
-            return cmd_growth(cfg, args.module_file, args.e, args.rmax)
-        if args.command == "coleman":
-            return cmd_coleman(cfg, args.nmax, args.pairs, args.min_agree)
-        if args.command == "three":
-            return cmd_three(cfg, args.level, args.kummer_k, args.nmax)
-        if args.command == "eigenspace":
-            return cmd_eigenspace(cfg)
-        if args.command == "selfcheck":
-            return cmd_selfcheck(cfg)
-        raise AssertionError(args.command)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,19 +97,17 @@ def zeta_moments(ns, a: int, b: int, p: int, trunc: int, prec: int) -> list[Padi
     """zeta_moment for every n in ns, all read from one measure."""
     ns = list(ns)
     moms = measures.moments(lambda_unit_measure(a, b, p, trunc, prec), max(ns, default=0))
-    out = []
-    for n in ns:
-        den = PadicNumber.from_int(b**n - a**n, p, prec)
-        if den.is_zero:
-            raise ValueError("b^n - a^n vanishes at this precision")
-        out.append(moms[n] / den)
-    return out
+    return [_over_unit_pair(moms[n], n, a, b, p, prec) for n in ns]
 
 
 def zeta_moment(n: int, a: int, b: int, p: int, trunc: int, prec: int) -> PadicNumber:
     """(1 - p^(n-1)) zeta(1-n) recovered as moment(lambda_(c(a,b)), n)/(b^n - a^n)."""
-    lam = lambda_unit_measure(a, b, p, trunc, prec)
-    mom = measures.moment(lam, n)
+    mom = measures.moment(lambda_unit_measure(a, b, p, trunc, prec), n)
+    return _over_unit_pair(mom, n, a, b, p, prec)
+
+
+def _over_unit_pair(mom: PadicNumber, n: int, a: int, b: int, p: int, prec: int) -> PadicNumber:
+    """mom / (b^n - a^n), refused when the divisor is 0 mod p^prec."""
     den = PadicNumber.from_int(b**n - a**n, p, prec)
     if den.is_zero:
         raise ValueError("b^n - a^n vanishes at this precision")

@@ -29,7 +29,7 @@ from .characters import (
     teichmuller_char,
     teichmuller_table,
 )
-from .iwaseries import TruncatedSeries, inverse_taylor_shift, taylor_shift
+from .iwaseries import TruncatedSeries, taylor_shift
 from .padic import PadicNumber, from_rational_abs, int_vp, unit_power, vp_diff
 
 
@@ -449,11 +449,6 @@ def interp_check(
     return InterpReport(p, chipsi.modulus, chi.is_trivial(), j, n, r, lhs, rhs, val, r - 1, val >= r - 1)
 
 
-def mu1_at_omega(i: int, p: int, prec: int = 20) -> PadicNumber:
-    """The level-1 Stickelberger image under omega^i; equals -B_(1, omega^(-i))."""
-    return evaluate_char(stickelberger(p), PadicCharSpec(i, 0), p, prec)
-
-
 @dataclass(frozen=True)
 class ResidueUnitReport:
     p: int
@@ -551,15 +546,3 @@ def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> Tru
             raise ValueError("component has a non-integral coefficient at this precision")
         coeffs.append(v // pshift)
     return TruncatedSeries(p, coeffs, prec)
-
-
-def reassemble_components(comps: dict[int, TruncatedSeries], p: int, r: int, prec: int = 12) -> GroupRingElement:
-    """Inverse of component_series summed over all branches (test helper):
-    each series, written in X = 1 + T by the inverse Taylor shift, puts h_k on gamma^k."""
-    pr = p**r
-    total = _element(pr, {})
-    for i, series in comps.items():
-        h = inverse_taylor_shift(series.coeffs, p**series.prec)
-        poly = _element(pr, {pow(1 + p, k, pr): c for k, c in enumerate(h)}, 1, p, series.prec)
-        total = total + idempotent(i, r, p, prec) * poly
-    return total

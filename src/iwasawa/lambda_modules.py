@@ -70,7 +70,8 @@ def _quotient_data(E: ElementaryModule, g):
     """(wdeg(g), prec, [v_p(Res(P_j, g))]) for a finite E/gE, None for an
     infinite one; prec is the p-precision of a series g, None for an integer
     polynomial.  A resultant that vanishes within prec raises before the next
-    one is computed."""
+    one is computed; so does one that is exactly 0 for a series, since g mod
+    p^prec cannot tell that from a resultant of high valuation."""
     p = E.prime
     if isinstance(g, TruncatedSeries):
         (mu_g, wdeg_g), poly, prec = g.mu_lambda(), list(g.coeffs), g.prec
@@ -84,9 +85,9 @@ def _quotient_data(E: ElementaryModule, g):
     vals = []
     for q in E.dist_polys:
         res = resultant(list(q), poly)
-        if res == 0:
+        if res == 0 and prec is None:
             return None
-        v = int_vp(res, p)
+        v = int_vp(res, p) if res else prec
         if prec is not None and v >= prec:
             raise IndeterminateWithinTruncation(
                 "resultant vanishes within the available p-precision"

@@ -64,13 +64,8 @@ def moments(mu: TruncatedSeries, n_max: int) -> list[PadicNumber]:
 
 
 def moment(mu: TruncatedSeries, n: int) -> PadicNumber:
-    """Integral of x^n, computed as (D^n g)(0) with D = (1+T) d/dT."""
-    if n >= mu.trunc:
-        raise ValueError(f"moment {n} needs truncation > {n}")
-    g = mu
-    for _ in range(n):
-        g = g.d_operator()
-    return g.coeff(0)
+    """Integral of x^n, the last of `moments(mu, n)`."""
+    return moments(mu, n)[-1]
 
 
 def mahler_pairing(g: TruncatedSeries, mahler_coeffs) -> PadicNumber:

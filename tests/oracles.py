@@ -1,0 +1,35 @@
+"""Reference computations that only the tests read: each rebuilds a library
+value by a second route, so a test can compare the two."""
+
+from fractions import Fraction
+
+from iwasawa.characters import DirichletCharacter, _grouped_rational_sums, _materialize
+from iwasawa.group_algebra import GroupRingElement, PadicCharSpec, _element, evaluate_char, idempotent, stickelberger
+from iwasawa.iwaseries import TruncatedSeries, inverse_taylor_shift
+from iwasawa.padic import PadicNumber
+
+
+def gen_bernoulli_limit_oracle(n: int, chi: DirichletCharacter, j: int, prec: int = 20) -> PadicNumber:
+    """The finite approximation (1/(N p^j)) sum_(a<=N p^j) chi(a) a^n."""
+    N = max(chi.modulus, 1)
+    p = chi.prime
+    top = N * p**j
+    weights = ((a, Fraction(a**n, top)) for a in range(1, top + 1))
+    return _materialize(_grouped_rational_sums(chi, weights), p, prec)
+
+
+def mu1_at_omega(i: int, p: int, prec: int = 20) -> PadicNumber:
+    """The level-1 Stickelberger image under omega^i; equals -B_(1, omega^(-i))."""
+    return evaluate_char(stickelberger(p), PadicCharSpec(i, 0), p, prec)
+
+
+def reassemble_components(comps: dict[int, TruncatedSeries], p: int, r: int, prec: int = 12) -> GroupRingElement:
+    """Inverse of component_series summed over all branches: each series,
+    written in X = 1 + T by the inverse Taylor shift, puts h_k on gamma^k."""
+    pr = p**r
+    total = _element(pr, {})
+    for i, series in comps.items():
+        h = inverse_taylor_shift(series.coeffs, p**series.prec)
+        poly = _element(pr, {pow(1 + p, k, pr): c for k, c in enumerate(h)}, 1, p, series.prec)
+        total = total + idempotent(i, r, p, prec) * poly
+    return total

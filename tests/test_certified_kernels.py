@@ -314,5 +314,5 @@ def test_kummer_index_past_the_budget_ends_promptly(capsys):
 ])
 def test_documented_coleman_windows_are_accepted(argv, n_max):
     args = cli.build_parser().parse_args(argv)
-    M, N = cli._coleman_window(cli.RunConfig(args.prime, args.prec, args.trunc), n_max)
+    M, N = cli._coleman_window(args, n_max)
     assert M >= n_max + 2 and N == args.prec

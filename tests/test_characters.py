@@ -8,12 +8,12 @@ from iwasawa.characters import (
     DirichletCharacter,
     from_generator_data,
     gen_bernoulli,
-    gen_bernoulli_limit_oracle,
     L_neg,
     quadratic_char,
     teichmuller_char,
 )
 from iwasawa.padic import PadicNumber, vp_diff
+from oracles import gen_bernoulli_limit_oracle
 
 
 def test_teichmuller_char_basics():

@@ -112,7 +112,7 @@ def test_commands_are_deterministic(capsys):
 
 def test_bad_config_rejected(capsys):
     with pytest.raises(ValueError):
-        main(["bernoulli", "--prime", "2"])
+        main(["irregular", "--prime", "2"])
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -126,7 +126,7 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
 def test_bad_prime_exits_2(capsys):
     from iwasawa.cli import entry
 
-    for argv in (["bernoulli", "--prime", "1"], ["bernoulli", "--prime", "9"], ["irregular", "-p", "9"],
+    for argv in (["irregular", "--prime", "1"], ["irregular", "--prime", "9"], ["irregular", "-p", "9"],
                  ["irregular", "-p", "1"]):
         code = entry(argv)
         out = capsys.readouterr()
@@ -142,22 +142,42 @@ def test_command_line_reports_errors_without_traceback(tmp_path):
     import iwasawa
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iwasawa.__file__)))
-    for argv in (["bernoulli", "--prime", "1"], ["weierstrass", str(tmp_path / "missing.txt")]):
+    for argv in (["irregular", "--prime", "1"], ["weierstrass", str(tmp_path / "missing.txt")]):
         proc = subprocess.run([sys.executable, "-m", "iwasawa.cli", *argv], capture_output=True, text=True, env=env)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, argv
 
 
 def test_non_primes_rejected():
-    from iwasawa.cli import RunConfig
     from iwasawa.exactq import irregular_indices
 
     for q in (1, 2, 9, 15):
         with pytest.raises(ValueError):
             irregular_indices(q)
-        with pytest.raises(ValueError):
-            RunConfig(prime=q)
-    assert RunConfig(prime=7).prime == 7
+        for command in ("irregular", "interp", "coleman", "three", "eigenspace", "selfcheck"):
+            with pytest.raises(ValueError):
+                main([command, "-p", str(q)])
+
+
+def test_json_config_reports_the_prime_of_the_input_file(tmp_path, capsys):
+    series = tmp_path / "s7.txt"
+    series.write_text("7 3 4\n1:1\n0:1\n0:1\n")
+    module = tmp_path / "m3.txt"
+    module.write_text("p 3\nppow 1\ndist 9 3 1\n")
+    for argv, prime in ((["weierstrass", str(series)], 7), (["growth", str(module)], 3)):
+        code, out, _ = run(capsys, *argv, "--json")
+        config = json.loads(capsys_last_line(out))["config"]
+        assert code == 0 and config["prime"] == prime
+        assert not {"prec", "trunc"} & set(config)
+
+
+def test_interp_runs_either_one_index_or_a_range(capsys):
+    code, out, _ = run(capsys, "interp", "--n", "2", "--rmin", "3", "--rmax", "3", "--json")
+    config = json.loads(capsys_last_line(out))["config"]
+    assert code == 0 and (config["n"], config["nmax"]) == (2, None)
+    with pytest.raises(SystemExit) as exc:
+        main(["interp", "--n", "2", "--nmax", "3"])
+    assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
 
 
 def test_three_command_defaults(capsys):

@@ -89,21 +89,58 @@ def test_every_json_report_is_strict(tmp_path, argv):
     assert doc["command"] == argv[0] and doc["pass"] is True
 
 
+# -- each subcommand takes only the options it reads --------------------------------
+
+READS = {
+    "bernoulli": ["--upto"],
+    "irregular": ["-p", "--prime"],
+    "interp": ["-p", "--prime", "--chi", "--nmax", "--rmin", "--rmax", "--n"],
+    "weierstrass": ["--roundtrip"],
+    "growth": ["--e", "--rmax"],
+    "coleman": ["-p", "--prime", "--prec", "--trunc", "--nmax", "--pairs"],
+    "three": ["-p", "--prime", "--prec", "--trunc", "--level", "--kummer-k", "--nmax"],
+    "eigenspace": ["-p", "--prime"],
+    "selfcheck": ["-p", "--prime"],
+}
+EVERY_OPTION = sorted({opt for opts in READS.values() for opt in opts} | {"--min-agree"})
+
+
+def _with_option(command, option):
+    """A command line of `command` giving `option` one value; argparse decides
+    before any file is read."""
+    head = [command, "input.txt"] if command in ("weierstrass", "growth") else [command]
+    value = {"--roundtrip": [], "--json": [], "--chi": ["trivial"], "--pairs": ["1,3"]}.get(option, ["3"])
+    return head + [option] + value
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in EVERY_OPTION if o not in READS[c]])
+def test_each_subcommand_refuses_the_options_it_does_not_read(command, option):
+    code, out, err = _run(_with_option(command, option))
+    assert code == 2 and out == "" and f"unrecognized arguments: {option}" in err and "Traceback" not in err
+
+
+def test_each_subcommand_accepts_the_options_it_reads():
+    parser = cli.build_parser()
+    for command, opts in READS.items():
+        for option in opts + ["--json"]:
+            assert parser.parse_args(_with_option(command, option)).command == command
+
+
 # -- property: no input ends in a traceback -----------------------------------------
 
 small = st.integers(-2, 9)
 primes = st.sampled_from(["3", "5", "5", "7", "-1", "0", "1", "2", "4", "9"])
 junk = st.text(alphabet="0123456789:-+ .xe#", max_size=10)
+VALUES = {"--prime": primes, "--prec": small.map(str), "--trunc": st.integers(-1, 30).map(str)}
 
-common = st.lists(
-    st.one_of(
-        st.tuples(st.just("--prime"), primes),
-        st.tuples(st.just("--prec"), small.map(str)),
-        st.tuples(st.just("--trunc"), st.integers(-1, 30).map(str)),
-        st.tuples(st.just("--json")),
-    ),
-    max_size=3,
-).map(lambda opts: [tok for opt in opts for tok in opt])
+
+def options(*names):
+    """Up to three draws of --json and of the named options, each with a value."""
+    choices = [st.tuples(st.just(name), VALUES[name]) for name in names] + [st.tuples(st.just("--json"))]
+    return st.lists(st.one_of(choices), max_size=3).map(lambda opts: [tok for opt in opts for tok in opt])
+
+
+window = options("--prime", "--prec", "--trunc")
 
 coefficient_line = st.one_of(
     st.builds("{}:{}".format, st.integers(-2, 7), st.integers(-30, 30)), junk)
@@ -142,20 +179,20 @@ module_text = st.one_of(
 )
 
 argv_only = st.one_of(
-    st.tuples(st.just(["bernoulli", "--upto"]), st.integers(-2, 40).map(lambda n: [str(n)])),
-    st.tuples(st.sampled_from([["irregular", "-p"], ["eigenspace", "-p"]]), st.integers(-3, 40).map(lambda n: [str(n)])),
+    st.tuples(st.just(["bernoulli", "--upto"]), st.integers(-2, 40).map(lambda n: [str(n)]), options()),
+    st.tuples(st.sampled_from([["irregular", "-p"], ["eigenspace", "-p"]]), st.integers(-3, 40).map(lambda n: [str(n)]),
+              options()),
     st.tuples(st.just(["interp"]), st.tuples(
         st.sampled_from(["trivial", "quadratic3", "cubic"]), st.integers(-1, 3), st.integers(-1, 4), st.integers(-1, 3),
-    ).map(lambda t: ["--chi", t[0], "--nmax", str(t[1]), "--rmin", str(t[2]), "--rmax", str(t[3])])),
+    ).map(lambda t: ["--chi", t[0], "--nmax", str(t[1]), "--rmin", str(t[2]), "--rmax", str(t[3])]), options("--prime")),
     st.tuples(st.just(["coleman"]), st.tuples(
         st.integers(-1, 4), st.sampled_from(["1,3", "2,3", "1,1", "0,3", "3,6", "1,3;2,5", "1", "x,y", ""]),
-        st.integers(-1, 5),
-    ).map(lambda t: ["--nmax", str(t[0]), "--pairs", t[1], "--min-agree", str(t[2])])),
+    ).map(lambda t: ["--nmax", str(t[0]), "--pairs", t[1]]), window),
     st.tuples(st.just(["three"]), st.tuples(st.integers(-1, 4), st.integers(-1, 2), st.integers(-1, 6)).map(
-        lambda t: ["--level", str(t[0]), "--kummer-k", str(t[1]), "--nmax", str(t[2])])),
-    st.tuples(st.just(["selfcheck"]), st.just([])),
-    st.lists(junk, max_size=3).map(lambda a: ([], a)),
-).map(lambda t: t[0] + t[1])
+        lambda t: ["--level", str(t[0]), "--kummer-k", str(t[1]), "--nmax", str(t[2])]), window),
+    st.tuples(st.just(["selfcheck"]), st.just([]), options("--prime")),
+    st.tuples(st.just([]), st.lists(junk, max_size=3), window),
+).map(lambda t: t[0] + t[1] + t[2])
 
 # derandomized, so every run draws the same examples and takes the same few seconds
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
@@ -171,20 +208,20 @@ def _assert_clean(argv):
 
 
 @FUZZ
-@given(text=series_text, roundtrip=st.booleans(), opts=common)
+@given(text=series_text, roundtrip=st.booleans(), opts=options())
 def test_series_files_never_crash(tmp_path, text, roundtrip, opts):
     argv = ["weierstrass", _file(tmp_path, "fuzz_series.txt", text)] + ["--roundtrip"] * roundtrip + opts
     _assert_clean(argv)
 
 
 @FUZZ
-@given(text=module_text, e=st.integers(-2, 3), rmax=st.integers(-1, 4), opts=common)
+@given(text=module_text, e=st.integers(-2, 3), rmax=st.integers(-1, 4), opts=options())
 def test_module_files_never_crash(tmp_path, text, e, rmax, opts):
     argv = ["growth", _file(tmp_path, "fuzz_module.txt", text), "--e", str(e), "--rmax", str(rmax)] + opts
     _assert_clean(argv)
 
 
 @FUZZ
-@given(argv=argv_only, opts=common)
-def test_command_lines_never_crash(argv, opts):
-    _assert_clean(argv + opts)
+@given(argv=argv_only)
+def test_command_lines_never_crash(argv):
+    _assert_clean(argv)

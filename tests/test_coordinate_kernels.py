@@ -1,6 +1,7 @@
 """The two coordinate kernels of Z_p^x = mu_(p-1) x (1+pZ_p), their callers,
 the shared resultant pass of the module layer, and strict `--json` output."""
 
+import argparse
 import json
 import random
 from math import comb
@@ -104,9 +105,9 @@ def _two_pass_is_finite(E, g):
         return False
     for q in E.dist_polys:
         res = resultant(list(q), poly)
-        if res == 0:
+        if res == 0 and prec is None:
             return False
-        if prec is not None and int_vp(res, p) >= prec:
+        if prec is not None and (res == 0 or int_vp(res, p) >= prec):
             raise IndeterminateWithinTruncation("resultant vanishes within the available p-precision")
     return True
 
@@ -170,13 +171,16 @@ def test_one_resultant_pass_keeps_results_and_errors():
     }
 
 
-def test_infinite_factor_is_reported_before_a_precision_refusal():
-    # the first factor alone would be refused at prec 2 (v_p(Res) = 1 = prec - 1);
-    # the second factor makes the quotient infinite, which is what is reported
+def test_a_series_resultant_of_zero_is_refused_not_called_infinite():
+    # T and T + 25 are the same series mod 5^2: Res(T, g) = 0 cannot be told
+    # from v_5(Res) >= 2, and the polynomial T + 25 has quotient order 5^2
     E = ElementaryModule(5, (), ((5, 1), (0, 1)))
-    g = TruncatedSeries(5, [0, 1, 0, 0], 2)
-    assert _outcome(quotient_order_exponent, E, g) == ("ValueError", "quotient is infinite")
-    assert is_finite_quotient(E, g) is False
+    for coeffs in ([0, 1, 0, 0], [25, 1, 0, 0]):
+        g = TruncatedSeries(5, coeffs, 2)
+        for fn in (quotient_order_exponent, is_finite_quotient):
+            assert _outcome(fn, E, g) == ("IndeterminateWithinTruncation",
+                                          "resultant vanishes within the available p-precision")
+    assert quotient_order_exponent(ElementaryModule(5, (), ((0, 1),)), [25, 1]) == 2
 
 
 # -- strict JSON reports ----------------------------------------------------------
@@ -197,9 +201,9 @@ def test_json_reports_parse_strictly(capsys, argv):
 
 
 def test_json_refuses_nan():
-    cfg = cli.RunConfig(json_mode=True)
+    args = argparse.Namespace(command="x", json=True)
     with pytest.raises(ValueError):
-        cli._emit(cfg, "x", {"rows": [[float("nan")]]}, True)
+        cli._emit(args, {"rows": [[float("nan")]]}, True)
 
 
 def test_json_encodes_negative_infinity():

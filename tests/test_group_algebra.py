@@ -19,14 +19,13 @@ from iwasawa.group_algebra import (
     h_i_element,
     idempotent,
     interp_check,
-    mu1_at_omega,
     mu_chi_level,
     project,
-    reassemble_components,
     residue_unit_check,
     stickelberger,
 )
 from iwasawa.padic import PadicNumber, int_vp, vp_diff
+from oracles import mu1_at_omega, reassemble_components
 
 
 def close(x, y, absprec):

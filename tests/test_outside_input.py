@@ -83,7 +83,7 @@ def test_series_file_precision_bound_and_high_valuations():
 
 
 def test_large_prime_is_refused_promptly(capsys):
-    code, seconds, err = _timed_entry(["bernoulli", "--prime", "1000000000000000003"], capsys)
+    code, seconds, err = _timed_entry(["irregular", "--prime", "1000000000000000003"], capsys)
     assert code == 2 and err.startswith("error:") and f"2^{MAX_PRIME_BITS}" in err and seconds < 1
     with pytest.raises(PadicError, match="too large"):
         _check_odd_prime(2**MAX_PRIME_BITS + 15)
