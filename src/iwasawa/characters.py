@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import exactq
 from .padic import PadicNumber, teichmuller
@@ -198,14 +198,14 @@ def quadratic_char(q: int, prime: int) -> DirichletCharacter:
 # -- generalized Bernoulli numbers and L-values -----------------------------
 
 
-def _grouped_rational_sums(chi: DirichletCharacter, weights) -> dict[int, Fraction]:
-    """Sum the rational weights a -> w(a) into buckets by character exponent."""
-    buckets: dict[int, Fraction] = {}
+def _grouped_rational_sums(chi: DirichletCharacter, weights) -> dict:
+    """Sum the weights a -> w(a) (integers or Fractions) into buckets by character exponent."""
+    buckets = {}
     for a, w in weights:
         e = chi.exponent(a)
         if e is None:
             continue
-        buckets[e] = buckets.get(e, Fraction(0)) + w
+        buckets[e] = buckets.get(e, 0) + w
     return buckets
 
 
@@ -218,7 +218,13 @@ def _materialize(buckets: dict[int, Fraction], p: int, prec: int) -> PadicNumber
 
 
 def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumber:
-    """B_(n,chi) = N^(n-1) sum_a chi(a) B_n(a/N - 1) for primitive chi of conductor N."""
+    """B_(n,chi) = N^(n-1) sum_a chi(a) B_n(a/N - 1) for primitive chi of conductor N.
+
+    With D the least common denominator of B_n(X) = sum_j c_j X^j, the
+    integers d_j = D c_j N^(n-j) give D N^n B_n((a-N)/N) = sum_j d_j (a-N)^j,
+    so each unit a costs one integer Horner evaluation at a - N and each
+    bucket of the character is one exact rational sum / (D N).
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if not chi.is_primitive():
@@ -226,9 +232,18 @@ def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumbe
     N = chi.modulus
     if N == 1:
         return PadicNumber.from_rational(exactq.bernoulli(n), chi.prime, prec)
-    scale = Fraction(N) ** (n - 1)
-    weights = ((a, scale * exactq.bernoulli_poly_eval(n, Fraction(a, N) - 1)) for a in range(1, N + 1))
-    return _materialize(_grouped_rational_sums(chi, weights), chi.prime, prec)
+    coeffs = exactq.bernoulli_poly(n)
+    D = lcm(*(c.denominator for c in coeffs))
+    d = [int(D * c) * N ** (n - j) for j, c in enumerate(coeffs)]
+
+    def horner(y: int) -> int:
+        acc = 0
+        for dj in reversed(d):
+            acc = acc * y + dj
+        return acc
+
+    sums = _grouped_rational_sums(chi, ((a, horner(a - N)) for a in chi.exponents))
+    return _materialize({e: Fraction(t, D * N) for e, t in sums.items()}, chi.prime, prec)
 
 
 def L_neg(chi: DirichletCharacter, n: int, prec: int = 20) -> PadicNumber:

@@ -24,7 +24,7 @@ def _emit(args: argparse.Namespace, payload: dict, passed: bool, **read) -> int:
     `read` holding values taken from an input file (the prime of a series or
     module file)."""
     if args.json:
-        parsed = {k: v for k, v in vars(args).items() if k not in ("command", "run", "json")}
+        parsed = {k: v for k, v in vars(args).items() if k not in ("command", "run", "parser", "json")}
         doc = {"command": args.command, "config": {**parsed, **read}, **payload, "pass": passed}
         print(json.dumps(_json_safe(doc), sort_keys=True, default=str, allow_nan=False))
     else:
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, run, help, *parents):
         # no abbreviations: `--n` is its own option to interp, not --nmax elsewhere
         parser = sub.add_parser(name, parents=[*parents, report], help=help, allow_abbrev=False)
-        parser.set_defaults(run=run)
+        parser.set_defaults(run=run, parser=parser)
         return parser
 
     b = command("bernoulli", cmd_bernoulli, "table of B_n and zeta(1-n) for n < UPTO")
@@ -358,7 +358,11 @@ def main(argv=None) -> int:
     returns 2.  An invalid configuration such as `--prime 1` raises
     ValueError to the caller; `entry` reports it the same way.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser()
+    args, extra = ap.parse_known_args(argv)
+    if extra:  # refused by the parser they were given to, so its usage line is shown
+        (args.parser if argv[0] == args.command else ap).error(f"unrecognized arguments: {' '.join(extra)}")
     if "prime" in args:
         _check_odd_prime(args.prime)
     if "prec" in args and min(args.prec, args.trunc) < 1:

@@ -280,7 +280,10 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     padic_s = isinstance(s, PadicNumber) and s.abs_precision is not None
     if padic_s and s.valuation < 0:
         raise ValueError("exponent must lie in Z_p")
-    s_red = (int(s.lift()) if isinstance(s, PadicNumber) else s) % p ** max(K - 1, 1)
+    # u = <a> is 1 mod p, so its order divides p^(K-1) mod p^K; the least
+    # absolute residue of s keeps the exponent short (u^(1-n) is u^-(n-1))
+    order = p ** max(K - 1, 1)
+    s_red = ((int(s.lift()) if isinstance(s, PadicNumber) else s) + order // 2) % order - order // 2
     acc = 0
     for a, num in x.num.items():
         abar = a % p

@@ -430,15 +430,27 @@ def log_one_plus(u: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(p, acc, N)
 
 
-def taylor_shift(c: list[int], mod: int) -> list[int]:
-    """Coefficients of sum_k c_k (1+T)^k modulo mod, by the O(d^2) Ruffini scheme.
+# Length up to which the Ruffini passes beat splitting in `taylor_shift`.
+SHIFT_BASE_LENGTH = 64
 
-    Pass k replaces c[k:] by its suffix sums: a synthetic division by X - 1
-    of what the earlier passes left, whose remainder c[k] is the T^k
-    coefficient.
+
+def taylor_shift(c: list[int], mod: int) -> list[int]:
+    """Coefficients of sum_k c_k (1+T)^k modulo mod, by divide and conquer
+    (von zur Gathen and Gerhard, ISSAC 1997): f = f_lo + X^h f_hi gives
+    f(1+T) = f_lo(1+T) + (1+T)^h f_hi(1+T), one `mul_trunc` per split, so
+    O(M(d) log d) for length d.
+
+    Up to SHIFT_BASE_LENGTH the O(d^2) Ruffini scheme runs instead: pass k
+    replaces c[k:] by its suffix sums, a synthetic division by X - 1 of what
+    the earlier passes left, whose remainder c[k] is the T^k coefficient.
     """
     c = [v % mod for v in c]
-    for k in range(len(c) - 1):
+    d = len(c)
+    if d > SHIFT_BASE_LENGTH:
+        h = d // 2
+        out = mul_trunc([v % mod for v in binomial_row(h, h + 1)], taylor_shift(c[h:], mod), mod, d)
+        return [(v + w) % mod for v, w in zip(taylor_shift(c[:h], mod), out)] + out[h:]
+    for k in range(d - 1):
         tail = list(accumulate(reversed(c[k:])))
         tail.reverse()
         c[k:] = tail

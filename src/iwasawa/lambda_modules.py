@@ -225,10 +225,14 @@ def _det_valuation(mat: list[list[int]], p: int, K: int) -> int | None:
     m = [[c % mod for c in row] for row in mat]
     total = 0
     while m:
-        nonzero = [(int_vp(c, p), i, j) for i, row in enumerate(m) for j, c in enumerate(row) if c]
-        if not nonzero:
-            return None
-        v, i0, j0 = min(nonzero)
+        # the first unit is the least (v, i, j); valuations only when none is left
+        pivot = next(((0, i, j) for i, row in enumerate(m) for j, c in enumerate(row) if c % p), None)
+        if pivot is None:
+            nonzero = [(int_vp(c, p), i, j) for i, row in enumerate(m) for j, c in enumerate(row) if c]
+            if not nonzero:
+                return None
+            pivot = min(nonzero)
+        v, i0, j0 = pivot
         total += v
         pivot_row, inv = m[i0], pow(m[i0][j0] // p**v, -1, mod)
         m = [[(c - row[j0] // p**v * inv * pivot_row[j]) % mod for j, c in enumerate(row) if j != j0]

@@ -3,6 +3,7 @@ value by a second route, so a test can compare the two."""
 
 from fractions import Fraction
 
+from iwasawa import exactq
 from iwasawa.characters import DirichletCharacter, _grouped_rational_sums, _materialize
 from iwasawa.group_algebra import GroupRingElement, PadicCharSpec, _element, evaluate_char, idempotent, stickelberger
 from iwasawa.iwaseries import TruncatedSeries, inverse_taylor_shift
@@ -16,6 +17,14 @@ def gen_bernoulli_limit_oracle(n: int, chi: DirichletCharacter, j: int, prec: in
     top = N * p**j
     weights = ((a, Fraction(a**n, top)) for a in range(1, top + 1))
     return _materialize(_grouped_rational_sums(chi, weights), p, prec)
+
+
+def gen_bernoulli_fraction_oracle(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumber:
+    """B_(n,chi) = N^(n-1) sum_a chi(a) B_n(a/N - 1) by a Fraction Horner at every a mod N."""
+    N = chi.modulus
+    scale = Fraction(N) ** (n - 1)
+    weights = ((a, scale * exactq.bernoulli_poly_eval(n, Fraction(a, N) - 1)) for a in range(1, N + 1))
+    return _materialize(_grouped_rational_sums(chi, weights), chi.prime, prec)
 
 
 def mu1_at_omega(i: int, p: int, prec: int = 20) -> PadicNumber:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from iwasawa import cli, lambda_modules, measures
 from iwasawa.characters import DirichletCharacter
 from iwasawa.group_algebra import PadicCharSpec, evaluate_char, h_element, mu_chi_level
-from iwasawa.padic import PadicError, PadicNumber, from_rational_abs, pexp, plog, teichmuller, unit_power, vp_diff
+from iwasawa.padic import PadicError, PadicNumber, from_rational_abs, int_vp, pexp, plog, teichmuller, unit_power, vp_diff
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 primes = st.sampled_from([3, 5, 7, 11])
@@ -219,6 +219,18 @@ def test_evaluate_char_certifies_its_digits_at_padic_exponents(index, i, B, prec
     other = evaluate_char(x, PadicCharSpec(i, s2), p, prec)
     if not got.is_zero:
         assert _agrees(got, other, got.abs_precision)
+
+
+@pytest.mark.parametrize("index", range(len(LEVELS)))
+def test_evaluate_char_is_periodic_in_the_exponent(index):
+    """<a> has order dividing p^(K-1) mod p^K, so s and s +- p^(K-1) give the same digits."""
+    p, x = LEVELS[index]
+    prec = 9
+    period = p ** (prec + int_vp(x.den, p) - 1)
+    for i in range(p - 1):
+        for s in (-11, -1, 0, 1, 4, period // 2, period // 2 + 1, period - 1):
+            got = [_key(evaluate_char(x, PadicCharSpec(i, t), p, prec)) for t in (s, s + period, s - period)]
+            assert got[0] == got[1] == got[2]
 
 
 def test_evaluate_char_regression_at_an_exponent_known_mod_25():

@@ -13,7 +13,7 @@ from iwasawa.characters import (
     teichmuller_char,
 )
 from iwasawa.padic import PadicNumber, vp_diff
-from oracles import gen_bernoulli_limit_oracle
+from oracles import gen_bernoulli_fraction_oracle, gen_bernoulli_limit_oracle
 
 
 def test_teichmuller_char_basics():
@@ -104,6 +104,20 @@ def test_residue_of_first_twisted_bernoulli():
         b = gen_bernoulli(1, teichmuller_char(p, -1), 8)
         pb = b * p
         assert pb.valuation == 0 and pb.residue() == p - 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_gen_bernoulli_matches_the_fraction_formula(p):
+    """Every interp_grid character times omega^j of conductor N > 1 (N = 1 reads B_n itself)."""
+    chars = [DirichletCharacter.trivial(1, p), quadratic_char(3, p), from_generator_data(13, {2: 1}, p)]
+    for chi in chars:
+        for j in range(p - 1):
+            chipsi = chi.multiply(teichmuller_char(p, j)).primitivize()
+            if chipsi.modulus == 1:
+                continue
+            for n in range(1, 13):
+                got, ref = gen_bernoulli(n, chipsi, 12), gen_bernoulli_fraction_oracle(n, chipsi, 12)
+                assert (got.valuation, got.mantissa, got.precision) == (ref.valuation, ref.mantissa, ref.precision)
 
 
 def test_limit_oracle_agrees_with_gen_bernoulli():

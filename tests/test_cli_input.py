@@ -119,6 +119,17 @@ def test_each_subcommand_refuses_the_options_it_does_not_read(command, option):
     assert code == 2 and out == "" and f"unrecognized arguments: {option}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", sorted(READS))
+def test_an_unknown_option_is_refused_with_the_usage_of_its_subcommand(command):
+    code, out, err = _run(_with_option(command, "--min-agree"))
+    assert code == 2 and out == "" and err.startswith(f"usage: iwasawa {command} ")
+    assert f"iwasawa {command}: error: unrecognized arguments: --min-agree 3" in err
+    # given before the subcommand, the option is the top-level parser's to refuse
+    code, out, err = _run(["--min-agree"] + _with_option(command, "--json"))
+    assert code == 2 and out == "" and err.startswith("usage: iwasawa [-h]")
+    assert "iwasawa: error: unrecognized arguments: --min-agree" in err
+
+
 def test_each_subcommand_accepts_the_options_it_reads():
     parser = cli.build_parser()
     for command, opts in READS.items():

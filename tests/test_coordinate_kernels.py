@@ -78,6 +78,25 @@ def test_inverse_taylor_shift_expands_powers_of_x_minus_one():
         assert inverse_taylor_shift([0] * n + [1], mod) == expected
 
 
+def _naive_taylor_shift(c, mod):
+    """[T^j] sum_k c_k (1+T)^k = sum_k c_k C(k, j), term by term."""
+    return [sum(v * comb(k, j) for k, v in enumerate(c)) % mod for j in range(len(c))]
+
+
+# 64 is the last Ruffini length, 65 splits once; 300 splits at 300, 150 and 75
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("mod", [5**6, 7**4])
+def test_taylor_shift_matches_binomial_sums(length, mod):
+    rng = random.Random(length * mod)
+    c = [rng.randrange(-mod, 2 * mod) for _ in range(length)]
+    expected = _naive_taylor_shift(c, mod)
+    assert taylor_shift(c, mod) == expected
+    assert inverse_taylor_shift(expected, mod) == [v % mod for v in c]
+    # (X-1)^k = (-1)^k (1 + (-X))^k: the inverse is the naive shift with signs flipped
+    flipped = _naive_taylor_shift([-v if k % 2 else v for k, v in enumerate(c)], mod)
+    assert inverse_taylor_shift(c, mod) == [-v % mod if k % 2 else v for k, v in enumerate(flipped)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_omega_like_matches_binomial_list(p):
     for trunc in range(1, p + 3):

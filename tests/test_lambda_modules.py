@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from iwasawa.iwaseries import TruncatedSeries, nu_rm_poly, phi_poly, poly_mul
+from iwasawa.iwaseries import TruncatedSeries, _bareiss_det, nu_rm_poly, phi_poly, poly_mul
 from iwasawa.lambda_modules import (
     ElementaryModule,
+    _det_valuation,
     _mult_matrix,
     eigenspace_order_prediction,
     growth_sequence,
@@ -256,3 +257,22 @@ dist -5 1
     assert E.prime == 5 and E.p_exponents == (2,) and E.dist_polys == ((0, 1), (-5, 1))
     with pytest.raises(ValueError):
         parse_module_file("ppow 1\n")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_det_valuation_matches_the_integer_determinant(p):
+    """v_p(det) from the entries mod p^K equals the exact determinant's, whether
+    the pivots are units (most random entries) or all divisible by p."""
+    rng = random.Random(p)
+    K = 6
+    for trial in range(60):
+        d = rng.randrange(1, 9)
+        scale = [1, p, p * p][trial % 3]  # trial % 3 > 0: no unit entry at all
+        mat = [[scale * rng.choice([0, 1, p, p * rng.randrange(1, 50), rng.randrange(-50, 50)]) for _ in range(d)]
+               for _ in range(d)]
+        det = _bareiss_det(mat)
+        got = _det_valuation(mat, p, K)
+        if det and int_vp(det, p) < K:
+            assert got == int_vp(det, p)
+        elif got is not None:
+            assert det and got == int_vp(det, p)
