@@ -231,7 +231,8 @@ def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumbe
         raise ValueError("character must be primitive (call primitivize first)")
     N = chi.modulus
     if N == 1:
-        return PadicNumber.from_rational(exactq.bernoulli(n), chi.prime, prec)
+        b = exactq.bernoulli(n)  # exactly zero at odd n > 1
+        return PadicNumber.from_rational(b, chi.prime, prec) if b else PadicNumber.zero(chi.prime)
     coeffs = exactq.bernoulli_poly(n)
     D = lcm(*(c.denominator for c in coeffs))
     d = [int(D * c) * N ** (n - j) for j, c in enumerate(coeffs)]

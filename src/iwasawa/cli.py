@@ -67,6 +67,24 @@ def cmd_irregular(args) -> int:
     return _emit(args, {"rows": rows, "indices": idx}, True)
 
 
+# Largest work of a command-line level-table run: the entries (p-1) p^(r-1)
+# of the table of h_N mu_chi at each level r, times the omega^i-branches read
+# from it (one per even n in `three`, one per j and n in `interp`);
+# `three --level 9` at p = 5, 1.6e6 entries and 3 branches, work 4.7e6, runs
+# in about 3 s on a 2-vCPU x86 VM.
+MAX_LEVEL_WORK = 5 * 10**6
+
+
+def _check_level_work(p: int, r_min: int, r_max: int, branches: int) -> None:
+    """Refuse the levels r_min..r_max when their entries, which sum to
+    p^r_max - p^(r_min-1) over r >= 1, times branches exceed MAX_LEVEL_WORK.
+    A level past 64 is counted as 64, already far over the bound."""
+    lo, hi = min(max(r_min, 1), 64), min(r_max, 64)
+    if hi >= lo and branches * (p**hi - p ** (lo - 1)) > MAX_LEVEL_WORK:
+        raise ValueError(f"levels {r_min}..{r_max} at p = {p} with {branches} branch evaluation(s) per level "
+                         f"exceed the work bound entries (p-1) p^(r-1) times branches <= {MAX_LEVEL_WORK:.0e}")
+
+
 def cmd_interp(args) -> int:
     p, chi_name, r_min, r_max = args.prime, args.chi, args.rmin, args.rmax
     chi = _chi_by_name(chi_name, p)
@@ -77,6 +95,7 @@ def cmd_interp(args) -> int:
         ns = list(range(1, args.nmax + 1))
     else:
         ns, args.nmax = [args.n], None  # the report shows that no range 1..nmax ran
+    _check_level_work(p, r_min, r_max, (p - 1) * len(ns))
     for j in range(p - 1):
         for n in ns:
             vals = []
@@ -211,6 +230,7 @@ def cmd_three(args) -> int:
     ok = True
     evens = range(2, n_max + 1, 2)
     group_algebra.branch_limit_index(p, evens[-1], k)  # the last Kummer index, before any work
+    _check_level_work(p, r, r, len(evens))
     for n, c_val in zip(evens, coleman.zeta_moments(evens, 1, 3, p, M, N)):
         exact = exactq.euler_stripped_zeta(n, p)
         spec = group_algebra.PadicCharSpec((1 - n) % (p - 1), 1 - n)

@@ -1,25 +1,33 @@
 """Group rings over (Z/m)^x: Stickelberger elements, finite-level p-adic
 L-elements, idempotents, character evaluation and the interpolation checks.
 
-An element is integer numerators keyed by unit residue over one positive
-denominator, with a window: None when exact (Stickelberger elements, h_N,
-mu_chi of a rational-valued chi), else w when the coefficients are known mod
-p^w (idempotents, h_N^(i), other mu_chi); then the denominator is a power of
-p.  Every operation runs on these integers and divides the common factor
-back out, so an integral element has denominator 1.  A product is known mod
-p^min(w_x + v(y), w_y + v(x)), v the least coefficient valuation and w
-infinite for an exact factor; `__mul__` is the one product kernel, the
-level-r elements h_N mu_chi of the interpolation check included.  `coeffs`
-reads the coefficients as Fractions or PadicNumbers.
+An element is one list of integer numerators over one positive denominator,
+with a window: None when exact (Stickelberger elements, h_N, mu_chi of a
+rational-valued chi), else w when the coefficients are known mod p^w
+(idempotents, h_N^(i), other mu_chi); then the denominator is a power of p.
+The list follows a fixed order of the units (`_units`): at an odd prime power
+p^r it is the level order, a = zeta^t gamma^k (gamma = 1 + p) at position
+t p^(r-1) + k, so the list is the element's level table, its rows the
+Teichmuller classes.  Multiplying by sigma_b permutes positions; at p^r it
+shifts the rows by t_b and rotates each row by k_b, and sigma_a -> sigma_(a^-1)
+is the reflection (t, k) -> (-t, -k).  Every operation runs on these integers
+and divides the common factor back out, so an integral element has
+denominator 1.  A product is known mod p^min(w_x + v(y), w_y + v(x)), v the
+least coefficient valuation and w infinite for an exact factor; `__mul__` is
+the one product kernel, the level-r elements h_N mu_chi of the interpolation
+check included.  `coeffs` reads the nonzero coefficients as Fractions or
+PadicNumbers keyed by unit residue.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, lcm
+from itertools import chain
+from math import gcd, inf, isqrt, lcm
 
 from . import exactq
 from .characters import (
@@ -34,9 +42,10 @@ from .padic import PadicNumber, from_rational_abs, int_vp, unit_power, vp_diff
 
 
 class GroupRingElement:
-    """sum_a num[a]/den sigma_a in Q[G_m] (or its p-adic counterpart), G_m =
-    (Z/mZ)^x, known mod prime^window unless window is None.  Built from a
-    dict of Fractions, ints or PadicNumbers keyed by the unit residue a."""
+    """sum_a num[pos(a)]/den sigma_a in Q[G_m] (or its p-adic counterpart),
+    G_m = (Z/mZ)^x, known mod prime^window unless window is None; pos is the
+    unit order of `_units(m)`.  Built from a dict of Fractions, ints or
+    PadicNumbers keyed by the unit residue a."""
 
     __slots__ = ("modulus", "num", "den", "prime", "window")
 
@@ -50,11 +59,12 @@ class GroupRingElement:
                 prime, window = c.prime, min(window, c.abs_precision)
             clean[a] = c.lift() if isinstance(c, PadicNumber) else Fraction(c)
         den = lcm(*(c.denominator for c in clean.values()))
-        _normalize(self, modulus, {a: int(c * den) for a, c in clean.items()}, den, prime, window)
+        num = _positions(modulus, {a: int(c * den) for a, c in clean.items()})
+        _normalize(self, modulus, num, den, prime, window)
 
     @property
     def coeffs(self) -> Mapping:
-        """The coefficients as a read-only {a: Fraction} (exact) or
+        """The nonzero coefficients as a read-only {a: Fraction} (exact) or
         {a: PadicNumber} (windowed) mapping, computed on read."""
         return _Coeffs(self)
 
@@ -66,13 +76,12 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement) or other.modulus != self.modulus:
             return NotImplemented
         den = lcm(self.den, other.den)
-        out = {a: n * (den // self.den) for a, n in self.num.items()}
-        for a, n in other.num.items():
-            out[a] = out.get(a, 0) + n * (den // other.den)
+        sx, sy = den // self.den, den // other.den
+        out = [a * sx + b * sy for a, b in zip(self.num, other.num)]
         return _element(self.modulus, out, den, _common_prime(self, other), min(_w(self), _w(other)))
 
     def __neg__(self):
-        return _element(self.modulus, {a: -n for a, n in self.num.items()}, self.den, self.prime, self.window)
+        return _element(self.modulus, [-n for n in self.num], self.den, self.prime, self.window)
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, GroupRingElement) else NotImplemented
@@ -81,12 +90,11 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement) or other.modulus != self.modulus:
             return NotImplemented
         m = self.modulus
-        small, big = sorted((self.num, other.num), key=len)
-        out: dict[int, int] = {}
-        for a, c in small.items():
-            for b, d in big.items():
-                k = a * b % m
-                out[k] = out.get(k, 0) + c * d
+        small, big = sorted((self.num, other.num), key=lambda num: len(num) - num.count(0))
+        out = [0] * len(big)
+        for i, c in enumerate(small):
+            if c:
+                out = [o + c * v for o, v in zip(out, _times_sigma(big, m, i))]
         p = _common_prime(self, other)
         window = min(_w(self) + _v(other, p), _w(other) + _v(self, p)) if p else None
         return _element(m, out, self.den * other.den, p, window)
@@ -96,7 +104,7 @@ class GroupRingElement:
 
     def mass(self):
         """Sum of all coefficients (the image under the trivial character)."""
-        return self._coeff(sum(self.num.values()))
+        return self._coeff(sum(self.num))
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -104,46 +112,55 @@ class GroupRingElement:
         return self.modulus == other.modulus and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"<group ring element mod {self.modulus} with {len(self.num)} terms>"
+        return f"<group ring element mod {self.modulus} with {len(self.coeffs)} terms>"
 
 
 class _Coeffs(Mapping):
-    """The coefficients of an element, computed on read."""
+    """The nonzero coefficients of an element, computed on read."""
 
     def __init__(self, x: GroupRingElement):
         self._x = x
 
     def __getitem__(self, a):
-        return self._x._coeff(self._x.num[a])
+        x = self._x
+        i = _unit_positions(x.modulus)[a] if isinstance(a, int) and 0 <= a < x.modulus else -1
+        if i < 0 or not x.num[i]:
+            raise KeyError(a)
+        return x._coeff(x.num[i])
 
     def __iter__(self):
-        return iter(self._x.num)
+        return (a for a, n in zip(_units(self._x.modulus)[0], self._x.num) if n)
 
     def __len__(self):
-        return len(self._x.num)
+        return len(self._x.num) - self._x.num.count(0)
 
 
 def _normalize(x, modulus, num, den, prime, window):
-    """Set x to sum num[a]/den sigma_a (mod prime^window), common factor removed."""
+    """Set x to sum num[i]/den sigma_(units[i]) (mod prime^window), common
+    factor removed."""
     if window in (None, inf):
         prime = window = None
     if window is None:
-        g = gcd(den, *num.values())
-        num = {a: n // g for a, n in num.items() if n}
-        den //= g
+        g = gcd(den, *num)
     else:
         e = int_vp(den, prime)
         mod = prime ** max(window + e, 0)
         inv = pow(den // prime**e, -1, mod)
-        num = {a: r for a, n in num.items() if (r := n * inv % mod)}
-        g = gcd(prime**e, *num.values())
-        num = {a: n // g for a, n in num.items()}
-        den = prime**e // g
+        num = [n * inv % mod for n in num]
+        g = gcd(prime**e, *num)
+        den = prime**e
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
     x.modulus, x.num, x.den, x.prime, x.window = modulus, num, den, prime, window
 
 
 def _element(modulus, num, den=1, prime=None, window=None) -> GroupRingElement:
+    """The element with numerators num, a list in unit order or a dict
+    {unit residue: numerator}."""
     x = object.__new__(GroupRingElement)
+    if isinstance(num, dict):
+        num = _positions(modulus, num)
     _normalize(x, modulus, num, den, prime, window)
     return x
 
@@ -160,7 +177,77 @@ def _w(x):
 
 def _v(x, p):
     """Least valuation of the coefficients of x (its window when it has none)."""
-    return int_vp(gcd(*x.num.values()), p) - int_vp(x.den, p) if x.num else _w(x)
+    g = gcd(*x.num)
+    return int_vp(g, p) - int_vp(x.den, p) if g else _w(x)
+
+
+# -- the unit order: positions, and sigma_b as a permutation of them ------------
+
+
+@lru_cache(maxsize=16)
+def _units(m: int) -> tuple[array, int]:
+    """(units, d): units[i] is the unit at position i of an element mod m.
+    At an odd prime power p^r the order is the level order, units[t d + k] =
+    zeta^t gamma^k mod p^r with d = p^(r-1), zeta the root of
+    `teichmuller_table` and gamma = 1 + p; at any other m the units ascend
+    and d = 0 (no rows)."""
+    q = next((q for q in range(2, isqrt(m) + 1) if m % q == 0), m)
+    if q > 2 and m == q ** int_vp(m, q):
+        d, gamma_pow = m // q, [1]
+        while len(gamma_pow) < d:
+            gamma_pow.append(gamma_pow[-1] * (1 + q) % m)
+        return array("q", [z * g % m for z in teichmuller_table(q, int_vp(m, q)).zeta_pow for g in gamma_pow]), d
+    return array("q", [a for a in range(m) if gcd(a, m) == 1]), 0
+
+
+@lru_cache(maxsize=16)
+def _unit_positions(m: int) -> array:
+    """pos[a] = the position of the unit a in `_units(m)`, -1 off the units."""
+    pos = array("q", [-1]) * m
+    for i, a in enumerate(_units(m)[0]):
+        pos[a] = i
+    return pos
+
+
+def _positions(m: int, num: dict) -> list[int]:
+    """A dict {unit residue: numerator} as a list in unit order."""
+    pos = _unit_positions(m)
+    out = [0] * len(_units(m)[0])
+    for a, n in num.items():
+        out[pos[a]] = n
+    return out
+
+
+def _times_sigma(num: list, m: int, i: int) -> list:
+    """sum_a n_a sigma_(ab) for num = [n_a], b the unit at position i.  At
+    p^r, b = zeta^t gamma^k shifts the rows by t and rotates each by k."""
+    units, d = _units(m)
+    if d:
+        t, k = divmod(i, d)
+        rows = [num[s : s + d] for s in range(0, len(num), d)]
+        return list(chain.from_iterable(row[-k:] + row[:-k] for row in rows[-t:] + rows[:-t]))
+    b, pos = pow(units[i], -1, m), _unit_positions(m)
+    return [num[pos[a * b % m]] for a in units]
+
+
+def _inverted(num: list, m: int) -> list:
+    """sum_a n_a sigma_(a^(-1)) for num = [n_a]: at p^r the reflection
+    (t, k) -> (-t, -k) of the positions, no modular inverse taken."""
+    units, d = _units(m)
+    if d:
+        rows = [num[s : s + d] for s in range(0, len(num), d)]
+        return list(chain.from_iterable(row[:1] + row[:0:-1] for row in rows[:1] + rows[:0:-1]))
+    pos = _unit_positions(m)
+    return [num[pos[pow(a, -1, m)]] for a in units]
+
+
+def _level_index(p: int, r: int) -> array:
+    """pos[a] = t * p^(r-1) + k where a = zeta^t gamma^k mod p^r, -1 off the units.
+
+    zeta is the root of `teichmuller_table`, so t is the Teichmuller index
+    of a and k = dlog_gamma <a> mod p^(r-1).
+    """
+    return _unit_positions(p**r)
 
 
 # -- Stickelberger elements and projections ---------------------------------
@@ -170,17 +257,17 @@ def stickelberger(m: int) -> GroupRingElement:
     """Sigma_m = -(1/m) sum over units a of a * sigma_a^(-1), exact rationals."""
     if m < 2:
         raise ValueError("need m >= 2")
-    return _element(m, {pow(a, -1, m): -a for a in range(1, m) if gcd(a, m) == 1}, m)
+    return _element(m, _inverted([-a for a in _units(m)[0]], m), m)
 
 
 def project(x: GroupRingElement, new_modulus: int) -> GroupRingElement:
     """Pushforward along sigma_a -> sigma_(a mod m'), coefficients summed on fibers."""
     if x.modulus % new_modulus != 0:
         raise ValueError("target modulus must divide the source modulus")
-    out: dict[int, int] = {}
-    for a, n in x.num.items():
-        k = a % new_modulus
-        out[k] = out.get(k, 0) + n
+    pos = _unit_positions(new_modulus)
+    out = [0] * len(_units(new_modulus)[0])
+    for a, n in zip(_units(x.modulus)[0], x.num):
+        out[pos[a % new_modulus]] += n
     return _element(new_modulus, out, x.den, x.prime, x.window)
 
 
@@ -193,19 +280,12 @@ def mu_chi_level(chi: DirichletCharacter, r: int, prec: int = 20) -> GroupRingEl
     For nontrivial chi every coefficient lands in Z_p (checked); for the
     trivial character of conductor 1 the coefficients have valuation >= -r
     (the pseudo-measure case).  Exact for a rational-valued chi, else mod p^prec.
-    """
-    rational, sums = _mu_level_sums(chi, r, prec)
-    pr = chi.prime**r
-    return _element(pr, {b: -acc for b, acc in sums}, chi.modulus * pr, chi.prime, None if rational else prec)
 
-
-def _mu_level_sums(chi: DirichletCharacter, r: int, prec: int):
-    """The bucket loop behind mu_chi_level: (rational, [(b, A), ...]) with
-    mu_chi at level r equal to sum_b -A/(N p^r) sigma_b.
-
-    A is the sum of a chi(a) over 0 < a <= N p^r with a = b^(-1) mod p^r:
-    exact when chi is rational-valued, else known modulo p^(prec+r).  For
-    nontrivial chi every A is divisible by p^r (checked).
+    Over a = c + j p^r (0 <= j < N), c a unit mod p^r, the terms a chi(a) sum
+    to A(c) = c S_0 + p^r S_1(c mod N), with S_0 = sum_x chi(x) over x mod N
+    and S_1(c) = sum_j j chi(c + j p^r); chi(a) is exact where it is
+    rational, else its integer lift mod p^(prec+r).  The numerators -A(c)
+    are listed in level order and reflected onto sigma_(c^(-1)).
     """
     p = chi.prime
     N = chi.modulus
@@ -220,20 +300,22 @@ def _mu_level_sums(chi: DirichletCharacter, r: int, prec: int):
     rational = all(e == 0 or 2 * e == p - 1 for e in exps.values())
     weight = list(teichmuller_table(p, prec + r).zeta_pow)
     weight[(p - 1) // 2] = -1  # chi(a) exactly where it is rational
-    sums: dict[int, int] = {}
-    for a in range(1, N * pr + 1):
-        e = exps.get(a % N) if a % p else None
-        if e is not None:
-            sums[a % pr] = sums.get(a % pr, 0) + a * weight[e]
-    if not chi.is_trivial() and any(acc % pr for acc in sums.values()):
+    chi_at = [weight[exps[x]] if x in exps else 0 for x in range(N)]
+    s0 = sum(chi_at)
+    s1 = [sum(j * chi_at[(c + j * pr) % N] for j in range(N)) for c in range(N)]
+    if not chi.is_trivial() and s0 % pr:
         raise AssertionError("nontrivial character produced a non-integral coefficient")
-    return rational, [(pow(c, -1, pr), acc) for c, acc in sums.items()]
+    num = [-(c * s0 + pr * s1[c % N]) for c in _units(pr)[0]]
+    return _element(pr, _inverted(num, pr), N * pr, p, None if rational else prec)
 
 
 def h_element(N: int, r: int, p: int) -> GroupRingElement:
     """h_N = 1 - (1+Np) sigma_(1+Np)^(-1) at level r."""
     pr, u = p**r, 1 + N * p
-    return _element(pr, {1: 1}) - _element(pr, {pow(u, -1, pr): u})
+    units = _units(pr)[0]
+    num = [1] + [0] * (len(units) - 1)  # sigma_1 is at position 0
+    num[units.index(pow(u, -1, pr))] -= u
+    return _element(pr, num)
 
 
 def idempotent(i: int, r: int, p: int, prec: int = 20) -> GroupRingElement:
@@ -269,12 +351,14 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     gamma-power lift gamma^(ks) of <a> = gamma^k mod p^r; both agree modulo
     p^r.  A p-adic s known mod p^B moves the term of a by
     p^(B + v_p(<a> - 1) + v_p(coeff)), which caps the reported precision.
+
+    The list runs row by row, and omega^i(a) is constant on a row; a
+    negative exponent powers the cached inverse lifts.
     """
-    _p_power_level(x.modulus, p)
+    r = _p_power_level(x.modulus, p)
     shift = int_vp(x.den, p)
     K = prec + shift
     pK = p**K
-    tables = teichmuller_table(p, K)
     s = spec.wild_exponent
     i = spec.teich_exponent % (p - 1)
     padic_s = isinstance(s, PadicNumber) and s.abs_precision is not None
@@ -284,22 +368,30 @@ def evaluate_char(x: GroupRingElement, spec: PadicCharSpec, p: int, prec: int = 
     # absolute residue of s keeps the exponent short (u^(1-n) is u^-(n-1))
     order = p ** max(K - 1, 1)
     s_red = ((int(s.lift()) if isinstance(s, PadicNumber) else s) + order // 2) % order - order // 2
+    lifts = _unit_lifts(p, r, K, 1 if s_red >= 0 else -1)
+    e, d = abs(s_red), p ** (r - 1)
+    zeta_pow = teichmuller_table(p, K).zeta_pow
     acc = 0
-    for a, num in x.num.items():
-        abar = a % p
-        w = tables.zeta_pow[(i * tables.ind[abar]) % (p - 1)]
-        u = a * tables.teich_inv[abar] % pK
-        acc = (acc + num * w % pK * pow(u, s_red, pK)) % pK
-    acc = acc * pow(x.den // p**shift, -1, pK) % pK
+    for t in range(p - 1):
+        row = sum(n * pow(u, e, pK) for n, u in zip(x.num[t * d : (t + 1) * d], lifts[t * d : (t + 1) * d]) if n)
+        acc += zeta_pow[i * t % (p - 1)] * (row % pK)
+    acc = acc % pK * pow(x.den // p**shift, -1, pK) % pK
     absprec = prec if x.window is None else min(prec, x.window)
     if padic_s:
-        for a, num in x.num.items():
-            d = a * tables.teich_inv[a % p] % pK - 1
-            if d:
-                absprec = min(absprec, s.abs_precision + int_vp(d, p) + int_vp(num, p) - shift)
+        for n, u in zip(x.num, _unit_lifts(p, r, K, 1)):
+            if n and u != 1:
+                absprec = min(absprec, s.abs_precision + int_vp(u - 1, p) + int_vp(n, p) - shift)
     if absprec < 1:
         raise ValueError("coefficients carry too little precision for this evaluation")
     return from_rational_abs(Fraction(acc, p**shift), p, absprec)
+
+
+@lru_cache(maxsize=16)
+def _unit_lifts(p: int, r: int, K: int, sign: int) -> list[int]:
+    """(a * omega(a)^(-1))^sign mod p^K for the units a mod p^r in level
+    order: the integer lift of <a> (sign 1) or its inverse (sign -1)."""
+    pK, teich_inv = p**K, teichmuller_table(p, K).teich_inv
+    return [pow(a * teich_inv[a % p], sign, pK) for a in _units(p**r)[0]]
 
 
 def _p_power_level(m: int, p: int) -> int:
@@ -312,42 +404,22 @@ def _p_power_level(m: int, p: int) -> int:
 # -- level tables: Z_p[(Z/p^r)^x] = Z_p[Delta][T]/(omega_(r-1)), gamma = 1+p ---
 
 
-@lru_cache(maxsize=16)
-def _level_index(p: int, r: int) -> list[int]:
-    """pos[a] = t * p^(r-1) + k where a = zeta^t gamma^k mod p^r, -1 off the units.
-
-    zeta is the root of `teichmuller_table`, so t is the Teichmuller index
-    of a and k = dlog_gamma <a> mod p^(r-1).
-    """
-    pr, d = p**r, p ** (r - 1)
-    pos = [-1] * pr
-    for t, y in enumerate(teichmuller_table(p, r).zeta_pow):
-        for k in range(d):
-            pos[y] = t * d + k
-            y = y * (1 + p) % pr
-    return pos
-
-
-def _layout(x: GroupRingElement, p: int, r: int, e: int, K: int) -> list[int]:
-    """x at level r as a level table: entry pos[a] (see `_level_index`) is
-    coeff(a) * p^e mod p^K, for e at least the p-valuation of the denominator."""
+def _residues(x: GroupRingElement, p: int, e: int, K: int) -> list[int]:
+    """The level table of x: coeff * p^e mod p^K in level order, for e at
+    least the p-valuation of the denominator."""
     shift = int_vp(x.den, p)
     pK = p**K
-    scale = p ** (e - shift) * pow(x.den // p**shift, -1, pK)
-    pos = _level_index(p, r)
-    table = [0] * ((p - 1) * p ** (r - 1))
-    for a, n in x.num.items():
-        table[pos[a]] = n * scale % pK
-    return table
+    scale = p ** (e - shift) * pow(x.den // p**shift, -1, pK) % pK
+    return [n * scale % pK for n in x.num]
 
 
 @lru_cache(maxsize=16)
 def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> tuple[int, ...]:
-    """h_N mu_chi at level r as a level table, integers mod p^(prec+r) over p^r:
-    the layout of the one product h_element * mu_chi_level.  Cached by the
-    whole character (its exponent table), r and prec."""
+    """h_N mu_chi at level r as a level table, integers mod p^(prec+r) over
+    p^r: the residues of the one product h_element * mu_chi_level.  Cached
+    by the whole character (its exponent table), r and prec."""
     chi = DirichletCharacter(N, p, dict(exponents))
-    return tuple(_layout(h_element(N, r, p) * mu_chi_level(chi, r, prec), p, r, r, prec + r))
+    return tuple(_residues(h_element(N, r, p) * mu_chi_level(chi, r, prec), p, r, prec + r))
 
 
 def _branch(table, i: int, p: int, K: int) -> list[int]:
@@ -417,8 +489,9 @@ def interp_check(
     sharpens with r and the acceptance threshold is r - 1.
 
     The lhs is canonical only modulo p^r.  It is computed on the gamma-power
-    lift: Horner evaluation at gamma^(1-n) of the omega^i-branch of a cached
-    table of h_N mu_chi (see `_hmu_rows` and `_branch`); `evaluate_char` on
+    lift: Horner evaluation at gamma^(1-n) of the omega^i-branch of the
+    cached numerators of h_N mu_chi, which are its level table (see
+    `_hmu_rows` and `_branch`); `evaluate_char` on
     h_element * mu_chi_level uses the integer lift, is reported to the same
     absolute precision and agrees with it modulo p^r.  `_mu_cache` is
     accepted and ignored: the table cache is internal and keyed by the whole
@@ -529,19 +602,19 @@ def component_series(x: GroupRingElement, i: int, p: int, prec: int = 12) -> Tru
     """Image of e_(omega^i) x in Z_p[T]/(omega_(r-1)) with gamma = 1 + T.
 
     Each sigma_a splits as (Teichmuller part, principal part) = (zeta^t,
-    gamma^k), so the coefficients form a level table; its omega^i-branch is
-    a polynomial in X = gamma, which one Taylor shift X -> 1 + T turns into
-    the series.  The result must have coefficients in Z_p at the working
+    gamma^k), so the numerators, stored in level order, are a level table;
+    its omega^i-branch is a polynomial in X = gamma, which one Taylor shift
+    X -> 1 + T turns into the series.  The result must have coefficients in Z_p at the working
     precision, which is capped at the window of x.
     """
-    r = _p_power_level(x.modulus, p)
+    _p_power_level(x.modulus, p)
     if x.window is not None:
         prec = min(prec, x.window)
         if prec < 1:
             raise ValueError("coefficients carry too little precision for this evaluation")
     shift = int_vp(x.den, p)
     K = prec + shift
-    table = _layout(x, p, r, shift, K)
+    table = _residues(x, p, shift, K)
     coeffs = []
     pshift = p**shift
     for v in taylor_shift(_branch(table, i, p, K), p**K):

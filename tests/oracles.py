@@ -2,9 +2,10 @@
 value by a second route, so a test can compare the two."""
 
 from fractions import Fraction
+from math import gcd
 
 from iwasawa import exactq
-from iwasawa.characters import DirichletCharacter, _grouped_rational_sums, _materialize
+from iwasawa.characters import DirichletCharacter, _grouped_rational_sums, _materialize, teichmuller_table
 from iwasawa.group_algebra import GroupRingElement, PadicCharSpec, _element, evaluate_char, idempotent, stickelberger
 from iwasawa.iwaseries import TruncatedSeries, inverse_taylor_shift
 from iwasawa.padic import PadicNumber
@@ -42,3 +43,26 @@ def reassemble_components(comps: dict[int, TruncatedSeries], p: int, r: int, pre
         poly = _element(pr, {pow(1 + p, k, pr): c for k, c in enumerate(h)}, 1, p, series.prec)
         total = total + idempotent(i, r, p, prec) * poly
     return total
+
+
+def _parent_mu_level_sums(chi, r, prec):
+    """The former bucket loop: [(b, A)] with mu_chi = sum_b -A/(N p^r) sigma_b."""
+    p, N = chi.prime, chi.modulus
+    pr = p**r
+    buckets = {}
+    for a in range(1, N * pr + 1):
+        if gcd(a, N * p) != 1:
+            continue
+        e = chi.exponent(a)
+        slot = buckets.setdefault(a % pr, {})
+        slot[e] = slot.get(e, 0) + a
+    rational = all(e == 0 or 2 * e == p - 1 for e in chi.exponents.values())
+    zpow = teichmuller_table(p, prec + r).zeta_pow
+    sums = []
+    for c, slot in buckets.items():
+        if rational:
+            acc = slot.get(0, 0) - slot.get((p - 1) // 2, 0)
+        else:
+            acc = sum(zpow[e] * t for e, t in slot.items())
+        sums.append((pow(c, -1, pr), acc))
+    return sums

@@ -161,3 +161,10 @@ def test_L_parity_vanishing():
         if chi.parity * (-1) ** n == -1:
             v = L_neg(chi, n, 8)
             assert v.is_zero or v.valuation >= 8
+
+
+def test_trivial_L_value_at_odd_n_is_the_exact_zero():
+    # B_n = 0 exactly for odd n > 1, as B_(n,chi) for a parity-mismatched chi of conductor N > 1
+    triv = DirichletCharacter.trivial(1, 5)
+    for n in range(3, 12, 2):
+        assert L_neg(triv, n, 8).abs_precision is None, n

@@ -103,9 +103,11 @@ def test_dirac_at_an_inexact_zero_point_is_capped():
     assert measures.dirac(PadicNumber.zero(5), trunc=6, prec=6).prec == 6
 
 
-def test_l_value_of_a_zero_bernoulli_number_loses_v_p_n():
-    # B_5 = 0 is known mod 5^10, and L(1, -4) = -B_5/5 mod 5^9 only
-    got = L_neg(DirichletCharacter.trivial(1, 5), 5, 10)
+def test_a_zero_known_mod_p_10_divided_by_p_loses_a_digit():
+    # B_5 = 0 exactly, so L(1, -4) = -B_5/5 is the exact zero; a zero known
+    # mod 5^10 divided by 5 is known mod 5^9 only
+    assert L_neg(DirichletCharacter.trivial(1, 5), 5, 10).abs_precision is None
+    got = -PadicNumber.from_rational(0, 5, 10) / 5
     assert got.is_zero and got.abs_precision == 9
 
 

@@ -7,7 +7,6 @@ agree to the precision the N result reports."""
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -31,6 +30,7 @@ from iwasawa.group_algebra import (
 )
 from iwasawa.iwaseries import TruncatedSeries, taylor_shift
 from iwasawa.padic import PadicNumber, from_rational_abs, int_vp
+from oracles import _parent_mu_level_sums
 
 # -- the former representation: coefficient dicts -----------------------------------
 
@@ -335,29 +335,6 @@ def test_windowed_results_at_prec_n_and_n_plus_5_agree_where_reported(p, r):
 
 
 # -- the interpolation table is h_N mu_chi laid out on the level index ---------------
-
-
-def _parent_mu_level_sums(chi, r, prec):
-    """The former bucket loop: [(b, A)] with mu_chi = sum_b -A/(N p^r) sigma_b."""
-    p, N = chi.prime, chi.modulus
-    pr = p**r
-    buckets = {}
-    for a in range(1, N * pr + 1):
-        if gcd(a, N * p) != 1:
-            continue
-        e = chi.exponent(a)
-        slot = buckets.setdefault(a % pr, {})
-        slot[e] = slot.get(e, 0) + a
-    rational = all(e == 0 or 2 * e == p - 1 for e in chi.exponents.values())
-    zpow = teichmuller_table(p, prec + r).zeta_pow
-    sums = []
-    for c, slot in buckets.items():
-        if rational:
-            acc = slot.get(0, 0) - slot.get((p - 1) // 2, 0)
-        else:
-            acc = sum(zpow[e] * t for e, t in slot.items())
-        sums.append((pow(c, -1, pr), acc))
-    return sums
 
 
 def _parent_hmu_table(chi, r, prec):

@@ -22,7 +22,6 @@ from iwasawa.group_algebra import (
     GroupRingElement,
     _hmu_rows,
     _level_index,
-    _mu_level_sums,
     _p_power_level,
     component_series,
     h_element,
@@ -32,6 +31,7 @@ from iwasawa.group_algebra import (
 )
 from iwasawa.iwaseries import TruncatedSeries, binomial_row, floor_log, nu_rm_poly, omega_poly, phi_poly, taylor_shift
 from iwasawa.padic import PadicNumber, from_rational_abs, int_vp
+from oracles import _parent_mu_level_sums
 
 # -- substitution and the twist ---------------------------------------------------
 
@@ -150,7 +150,7 @@ def _rows_table(chi: DirichletCharacter, r: int, prec: int) -> list[list[int]]:
     pos = _level_index(p, r)
     flat = [0] * ((p - 1) * d)
     scale = -pow(N, -1, pK)
-    for b, acc in _mu_level_sums(chi, r, prec)[1]:
+    for b, acc in _parent_mu_level_sums(chi, r, prec):
         flat[pos[b]] = acc * scale % pK
     u = 1 + N * p
     k0 = pos[u % p**r]

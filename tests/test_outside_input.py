@@ -116,3 +116,18 @@ def test_bernoulli_poly_returns_a_fresh_list():
     row[0] = 99
     assert bernoulli_poly(4)[0] != 99
     assert bernoulli_poly_eval(4, 0) == bernoulli_poly(4)[0]
+
+
+def test_level_work_bound_refuses_before_any_work(capsys, monkeypatch):
+    from iwasawa import group_algebra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level table was built")
+
+    monkeypatch.setattr(group_algebra, "interp_check", refuse)
+    for argv in (["three", "--level", "10"], ["three", "--level", "1000000000"],
+                 ["three", "--level", "9", "--nmax", "100"],
+                 ["interp", "-p", "5", "--rmin", "10", "--rmax", "10"],
+                 ["interp", "-p", "5", "--rmin", "9", "--rmax", "9", "--nmax", "2"]):
+        code, seconds, err = _timed_entry(argv, capsys)
+        assert code == 2 and err.startswith("error:") and "work bound" in err and seconds < 1, argv
