@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import exactq
-from .padic import PadicNumber, teichmuller
+from .padic import PadicNumber, from_rational_abs, int_vp, teichmuller
 
 
 @lru_cache(maxsize=None)
@@ -209,12 +209,17 @@ def _grouped_rational_sums(chi: DirichletCharacter, weights) -> dict:
     return buckets
 
 
-def _materialize(buckets: dict[int, Fraction], p: int, prec: int) -> PadicNumber:
+def _materialize(sums: dict[int, int], den: int, p: int, prec: int) -> PadicNumber:
+    """sum_e zeta^e t_e / den for integer bucket sums t_e, with zeta^e known
+    mod p^prec: one integer sum and one division, known mod
+    p^(prec + min_e v_p(t_e) - v_p(den)) over the nonzero buckets.  Zero
+    buckets drop out; when every bucket is zero the value is the exact zero."""
+    vals = [int_vp(t, p) for t in sums.values() if t]
+    if not vals:
+        return PadicNumber.zero(p)
     zeta_pow = teichmuller_table(p, prec).zeta_pow
-    total = PadicNumber.zero(p)
-    for e, q in sorted(buckets.items()):
-        total = total + PadicNumber(p, 0, zeta_pow[e], prec) * q
-    return total
+    total = sum(zeta_pow[e] * t for e, t in sums.items())
+    return from_rational_abs(Fraction(total, den), p, prec + min(vals) - int_vp(den, p))
 
 
 def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumber:
@@ -222,8 +227,9 @@ def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumbe
 
     With D the least common denominator of B_n(X) = sum_j c_j X^j, the
     integers d_j = D c_j N^(n-j) give D N^n B_n((a-N)/N) = sum_j d_j (a-N)^j,
-    so each unit a costs one integer Horner evaluation at a - N and each
-    bucket of the character is one exact rational sum / (D N).
+    so each unit a costs one integer Horner evaluation at a - N, the units
+    are summed into one integer per character exponent, and the value is
+    their zeta-weighted integer sum divided once by D N.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -244,7 +250,7 @@ def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumbe
         return acc
 
     sums = _grouped_rational_sums(chi, ((a, horner(a - N)) for a in chi.exponents))
-    return _materialize({e: Fraction(t, D * N) for e, t in sums.items()}, chi.prime, prec)
+    return _materialize(sums, D * N, chi.prime, prec)
 
 
 def L_neg(chi: DirichletCharacter, n: int, prec: int = 20) -> PadicNumber:

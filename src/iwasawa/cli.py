@@ -67,22 +67,40 @@ def cmd_irregular(args) -> int:
     return _emit(args, {"rows": rows, "indices": idx}, True)
 
 
-# Largest work of a command-line level-table run: the entries (p-1) p^(r-1)
-# of the table of h_N mu_chi at each level r, times the omega^i-branches read
-# from it (one per even n in `three`, one per j and n in `interp`);
-# `three --level 9` at p = 5, 1.6e6 entries and 3 branches, work 4.7e6, runs
-# in about 3 s on a 2-vCPU x86 VM.
+# Largest work of a command-line level-table run, counted as what runs: at
+# each level r the entries (p-1) p^(r-1) of the table of h_N mu_chi times the
+# distinct omega^i-branches built from it (each at most once), plus p^(r-1)
+# per Horner evaluation of a branch.  `interp` builds all p-1 branches and
+# evaluates one per j and n, entries (p-1+|n|); `three` builds one per
+# distinct (1-n) mod (p-1) of its even n and evaluates one per even n.
+# `three --level 9` at p = 5, 1.6e6 entries, 2 branches and 3 evaluations,
+# work 4.3e6, runs in about 3 s on a 2-vCPU x86 VM.
 MAX_LEVEL_WORK = 5 * 10**6
 
 
-def _check_level_work(p: int, r_min: int, r_max: int, branches: int) -> None:
-    """Refuse the levels r_min..r_max when their entries, which sum to
-    p^r_max - p^(r_min-1) over r >= 1, times branches exceed MAX_LEVEL_WORK.
-    A level past 64 is counted as 64, already far over the bound."""
+def _check_level_work(p: int, r_min: int, r_max: int, branches: int, evaluations: int) -> None:
+    """Refuse the levels r_min..r_max when branches times their entries, which
+    sum to p^r_max - p^(r_min-1) over r >= 1, plus evaluations times their
+    branch lengths p^(r-1), exceed MAX_LEVEL_WORK.  A level past 64 is
+    counted as 64, already far over the bound."""
     lo, hi = min(max(r_min, 1), 64), min(r_max, 64)
-    if hi >= lo and branches * (p**hi - p ** (lo - 1)) > MAX_LEVEL_WORK:
-        raise ValueError(f"levels {r_min}..{r_max} at p = {p} with {branches} branch evaluation(s) per level "
-                         f"exceed the work bound entries (p-1) p^(r-1) times branches <= {MAX_LEVEL_WORK:.0e}")
+    entries = p**hi - p ** (lo - 1)
+    if hi >= lo and branches * entries + evaluations * (entries // (p - 1)) > MAX_LEVEL_WORK:
+        raise ValueError(f"levels {r_min}..{r_max} at p = {p} with {branches} branch(es) and {evaluations} "
+                         f"evaluation(s) per level exceed the work bound entries (p-1) p^(r-1) times "
+                         f"branches plus p^(r-1) per evaluation <= {MAX_LEVEL_WORK:.0e}")
+
+
+# Largest L-value work of a command-line `interp` run, levels (p-1) N p
+# sum_n (n+8)^2: each of its (p-1)|n| checks per level computes B_(n, chi psi)
+# by an integer Horner of degree n, on integers that grow with n, at each unit
+# mod the conductor of chi psi (at most N p, N the conductor of chi), plus a
+# fixed cost per unit of about 8 Horner steps.  (p, N, nmax) = (5, 1, 300) at
+# one level, work 2.0e8, runs in about 2.3 s on a 2-vCPU x86 VM; the slowest
+# accepted line found, `interp -p 167 --chi quadratic3 --rmin 2 --rmax 2
+# --nmax 11` (near both bounds), in about 3.7 s.  The level-table work does
+# not count this side, which dominates at small r.
+MAX_LVALUE_WORK = 2 * 10**8
 
 
 def cmd_interp(args) -> int:
@@ -92,10 +110,20 @@ def cmd_interp(args) -> int:
     checks = []
     ok = True
     if args.n is None:
-        ns = list(range(1, args.nmax + 1))
+        ns = range(1, args.nmax + 1)
     else:
         ns, args.nmax = [args.n], None  # the report shows that no range 1..nmax ran
-    _check_level_work(p, r_min, r_max, (p - 1) * len(ns))
+    if not ns or r_min > r_max:
+        raise ValueError("nothing to check: need nmax >= 1 and rmin <= rmax")
+    if ns[-1] > group_algebra.BERNOULLI_INDEX_LIMIT:
+        raise ValueError(f"n = {ns[-1]} exceeds the work bound n <= {group_algebra.BERNOULLI_INDEX_LIMIT} "
+                         f"of exact B_n")
+    lvalue_work = (r_max - r_min + 1) * (p - 1) * chi.modulus * p * sum((n + 8) ** 2 for n in ns)
+    if lvalue_work > MAX_LVALUE_WORK:
+        raise ValueError(f"indices n <= {ns[-1]} at p = {p} with conductor {chi.modulus} over levels "
+                         f"{r_min}..{r_max} exceed the work bound levels (p-1) N p sum (n+8)^2 <= "
+                         f"{MAX_LVALUE_WORK:.0e} of the L-values")
+    _check_level_work(p, r_min, r_max, p - 1, (p - 1) * len(ns))
     for j in range(p - 1):
         for n in ns:
             vals = []
@@ -230,7 +258,7 @@ def cmd_three(args) -> int:
     ok = True
     evens = range(2, n_max + 1, 2)
     group_algebra.branch_limit_index(p, evens[-1], k)  # the last Kummer index, before any work
-    _check_level_work(p, r, r, len(evens))
+    _check_level_work(p, r, r, len({(1 - n) % (p - 1) for n in evens}), len(evens))
     for n, c_val in zip(evens, coleman.zeta_moments(evens, 1, 3, p, M, N)):
         exact = exactq.euler_stripped_zeta(n, p)
         spec = group_algebra.PadicCharSpec((1 - n) % (p - 1), 1 - n)

@@ -413,13 +413,31 @@ def _residues(x: GroupRingElement, p: int, e: int, K: int) -> list[int]:
     return [n * scale % pK for n in x.num]
 
 
+class _LevelTable(tuple):
+    """A level table mod p^K that keeps each omega^i-branch once it is read."""
+
+    def __new__(cls, rows, p: int, K: int):
+        table = super().__new__(cls, rows)
+        table.p, table.K, table.branches = p, K, {}
+        return table
+
+    def branch(self, i: int) -> tuple[int, ...]:
+        if i not in self.branches:
+            self.branches[i] = tuple(_branch(self, i, self.p, self.K))
+        return self.branches[i]
+
+
 @lru_cache(maxsize=16)
-def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> tuple[int, ...]:
+def _hmu_rows(p: int, N: int, exponents: tuple, r: int, prec: int) -> _LevelTable:
     """h_N mu_chi at level r as a level table, integers mod p^(prec+r) over
     p^r: the residues of the one product h_element * mu_chi_level.  Cached
-    by the whole character (its exponent table), r and prec."""
+    by the whole character (its exponent table), r and prec; the cache entry
+    is the table itself (it compares equal to the tuple of its entries) and
+    holds the omega^i-branches read from it so far, at most p - 1, so a
+    `cache_clear` drops both."""
     chi = DirichletCharacter(N, p, dict(exponents))
-    return tuple(_residues(h_element(N, r, p) * mu_chi_level(chi, r, prec), p, r, prec + r))
+    K = prec + r
+    return _LevelTable(_residues(h_element(N, r, p) * mu_chi_level(chi, r, prec), p, r, K), p, K)
 
 
 def _branch(table, i: int, p: int, K: int) -> list[int]:
@@ -489,11 +507,16 @@ def interp_check(
     sharpens with r and the acceptance threshold is r - 1.
 
     The lhs is canonical only modulo p^r.  It is computed on the gamma-power
-    lift: Horner evaluation at gamma^(1-n) of the omega^i-branch of the
-    cached numerators of h_N mu_chi, which are its level table (see
+    lift: Horner evaluation at gamma^(1-n) of the omega^i-branch,
+    i = (1-n-j) mod (p-1), of the cached level table of h_N mu_chi (see
     `_hmu_rows` and `_branch`); `evaluate_char` on
     h_element * mu_chi_level uses the integer lift, is reported to the same
-    absolute precision and agrees with it modulo p^r.  `_mu_cache` is
+    absolute precision and agrees with it modulo p^r.
+
+    Cost per call: the table is built once per (chi, r, prec) and each of
+    its p - 1 branches once, on first read; after that a call is one Horner
+    pass over the p^(r-1) branch coefficients mod p^(prec+r) plus the
+    L-value side (h_N in closed form and B_(n, chi psi)).  `_mu_cache` is
     accepted and ignored: the table cache is internal and keyed by the whole
     character.
     """
@@ -510,7 +533,7 @@ def interp_check(
     pK = p ** (prec + r)
     table = _hmu_rows(p, N, tuple(sorted(chi.exponents.items())), r, prec)
     x, acc = pow(1 + p, 1 - n, pK), 0
-    for c in reversed(_branch(table, spec.teich_exponent, p, prec + r)):
+    for c in reversed(table.branch(spec.teich_exponent)):
         acc = (acc * x + c) % pK
     lhs = from_rational_abs(Fraction(acc, p**r), p, prec)
     hval = h_char_value(N, p, spec, prec)

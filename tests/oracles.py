@@ -2,13 +2,41 @@
 value by a second route, so a test can compare the two."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from iwasawa import exactq
-from iwasawa.characters import DirichletCharacter, _grouped_rational_sums, _materialize, teichmuller_table
+from iwasawa.characters import DirichletCharacter, _grouped_rational_sums, teichmuller_table
 from iwasawa.group_algebra import GroupRingElement, PadicCharSpec, _element, evaluate_char, idempotent, stickelberger
 from iwasawa.iwaseries import TruncatedSeries, inverse_taylor_shift
 from iwasawa.padic import PadicNumber
+
+
+def materialize_oracle(buckets: dict[int, Fraction], p: int, prec: int) -> PadicNumber:
+    """sum_e zeta^e q_e by PadicNumber arithmetic: one zeta^e mod p^prec times
+    each exact rational bucket q_e, added term by term."""
+    zeta_pow = teichmuller_table(p, prec).zeta_pow
+    total = PadicNumber.zero(p)
+    for e, q in sorted(buckets.items()):
+        total = total + PadicNumber(p, 0, zeta_pow[e], prec) * q
+    return total
+
+
+def gen_bernoulli_oracle(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumber:
+    """B_(n,chi) from the integer Horner buckets of `gen_bernoulli`, each
+    divided by D N as a Fraction and summed by `materialize_oracle`."""
+    N = chi.modulus
+    coeffs = exactq.bernoulli_poly(n)
+    D = lcm(*(c.denominator for c in coeffs))
+    d = [int(D * c) * N ** (n - j) for j, c in enumerate(coeffs)]
+
+    def horner(y: int) -> int:
+        acc = 0
+        for dj in reversed(d):
+            acc = acc * y + dj
+        return acc
+
+    sums = _grouped_rational_sums(chi, ((a, horner(a - N)) for a in chi.exponents))
+    return materialize_oracle({e: Fraction(t, D * N) for e, t in sums.items()}, chi.prime, prec)
 
 
 def gen_bernoulli_limit_oracle(n: int, chi: DirichletCharacter, j: int, prec: int = 20) -> PadicNumber:
@@ -17,7 +45,7 @@ def gen_bernoulli_limit_oracle(n: int, chi: DirichletCharacter, j: int, prec: in
     p = chi.prime
     top = N * p**j
     weights = ((a, Fraction(a**n, top)) for a in range(1, top + 1))
-    return _materialize(_grouped_rational_sums(chi, weights), p, prec)
+    return materialize_oracle(_grouped_rational_sums(chi, weights), p, prec)
 
 
 def gen_bernoulli_fraction_oracle(n: int, chi: DirichletCharacter, prec: int = 20) -> PadicNumber:
@@ -25,7 +53,7 @@ def gen_bernoulli_fraction_oracle(n: int, chi: DirichletCharacter, prec: int = 2
     N = chi.modulus
     scale = Fraction(N) ** (n - 1)
     weights = ((a, scale * exactq.bernoulli_poly_eval(n, Fraction(a, N) - 1)) for a in range(1, N + 1))
-    return _materialize(_grouped_rational_sums(chi, weights), chi.prime, prec)
+    return materialize_oracle(_grouped_rational_sums(chi, weights), chi.prime, prec)
 
 
 def mu1_at_omega(i: int, p: int, prec: int = 20) -> PadicNumber:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ import pytest
 from iwasawa import exactq
 from iwasawa.characters import (
     DirichletCharacter,
+    _materialize,
     from_generator_data,
     gen_bernoulli,
     L_neg,
@@ -13,7 +15,7 @@ from iwasawa.characters import (
     teichmuller_char,
 )
 from iwasawa.padic import PadicNumber, vp_diff
-from oracles import gen_bernoulli_fraction_oracle, gen_bernoulli_limit_oracle
+from oracles import gen_bernoulli_fraction_oracle, gen_bernoulli_limit_oracle, gen_bernoulli_oracle, materialize_oracle
 
 
 def test_teichmuller_char_basics():
@@ -118,6 +120,46 @@ def test_gen_bernoulli_matches_the_fraction_formula(p):
             for n in range(1, 13):
                 got, ref = gen_bernoulli(n, chipsi, 12), gen_bernoulli_fraction_oracle(n, chipsi, 12)
                 assert (got.valuation, got.mantissa, got.precision) == (ref.valuation, ref.mantissa, ref.precision)
+
+
+def _digits(x):
+    return x.valuation, x.mantissa, x.precision
+
+
+def _conductor_chars(p):
+    """A primitive character of each conductor 3, 7, 13, 21, 39 and 91."""
+    def prime_char(q, g):
+        return from_generator_data(q, {g: (p - 1) // gcd(q - 1, p - 1)}, p)
+
+    c3, c7, c13 = prime_char(3, 2), prime_char(7, 3), prime_char(13, 2)
+    return [c3, c7, c13, c3.multiply(c7), c3.multiply(c13), c7.multiply(c13)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_gen_bernoulli_is_the_term_by_term_bucket_sum(p):
+    chars = _conductor_chars(p)
+    assert [chi.conductor() for chi in chars] == [3, 7, 13, 21, 39, 91]
+    for chi in chars:
+        for n in range(1, 13):
+            for prec in range(1, 13):
+                got, ref = gen_bernoulli(n, chi, prec), gen_bernoulli_oracle(n, chi, prec)
+                assert _digits(got) == _digits(ref), (chi.modulus, n, prec)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_integer_bucket_sum_drops_zero_buckets_and_keeps_the_exact_zero(p):
+    rng = random.Random(p)
+    for prec in range(1, 13):
+        for den in (1, 6, p, 4 * p**3, 91 * p**2):
+            zero = _materialize({0: 0, 1: 0, p - 2: 0}, den, p, prec)
+            assert zero.mantissa is None and materialize_oracle({0: Fraction(0), 1: Fraction(0)}, p, prec).mantissa is None
+            for _ in range(8):
+                sums = {e: rng.choice([0, 1, -1]) * rng.randrange(1, p**6) * p ** rng.randrange(5)
+                        for e in rng.sample(range(p - 1), rng.randrange(1, p))}
+                sums[rng.randrange(p - 1)] = 0  # a zero bucket
+                got = _materialize(sums, den, p, prec)
+                ref = materialize_oracle({e: Fraction(t, den) for e, t in sums.items()}, p, prec)
+                assert _digits(got) == _digits(ref), (sums, den, prec)
 
 
 def test_limit_oracle_agrees_with_gen_bernoulli():

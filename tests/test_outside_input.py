@@ -131,3 +131,51 @@ def test_level_work_bound_refuses_before_any_work(capsys, monkeypatch):
                  ["interp", "-p", "5", "--rmin", "9", "--rmax", "9", "--nmax", "2"]):
         code, seconds, err = _timed_entry(argv, capsys)
         assert code == 2 and err.startswith("error:") and "work bound" in err and seconds < 1, argv
+
+
+@pytest.mark.parametrize("argv", [["interp", "--nmax", "0"], ["interp", "--rmin", "5", "--rmax", "3"],
+                                  ["interp", "--nmax", "0", "--rmax", "1000000000"]])
+def test_interp_with_nothing_to_check_is_refused_before_any_work(argv, capsys, monkeypatch):
+    from iwasawa import group_algebra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level table was built")
+
+    monkeypatch.setattr(group_algebra, "interp_check", refuse)
+    code, seconds, err = _timed_entry(argv, capsys)
+    assert code == 2 and err.startswith("error:") and "nothing to check" in err and seconds < 1
+
+
+def test_interp_l_value_bound_refuses_before_any_work(capsys, monkeypatch):
+    # each (j, n) check computes one B_(n, chi psi); at small r these, not the
+    # level table, are the work: the first line ran 16.8 s before this bound
+    from iwasawa import group_algebra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(group_algebra, "interp_check", refuse)
+    for argv in (["interp", "-p", "13", "--rmin", "3", "--rmax", "3", "--nmax", "400"],
+                 ["interp", "-p", "5", "--rmin", "2", "--rmax", "2", "--nmax", "62500"],
+                 ["interp", "--n", "1501"],
+                 ["interp", "-p", "5", "--rmin", "2", "--rmax", "1000000000", "--nmax", "2"]):
+        code, seconds, err = _timed_entry(argv, capsys)
+        assert code == 2 and err.startswith("error:") and "work bound" in err and seconds < 1, argv
+
+
+def test_level_work_bound_counts_distinct_branches_and_horner_passes(monkeypatch):
+    # three --level 9 builds 2 branches ((1-n) mod 4 is 3, 1, 3 for n = 2, 4, 6) and
+    # evaluates 3; interp at p = 5, r = 8 builds 4 and evaluates 4 |n|: each is under 5e6
+    from iwasawa import group_algebra
+
+    class Accepted(Exception):
+        pass
+
+    def accept(*args, **kwargs):
+        raise Accepted
+
+    monkeypatch.setattr(group_algebra, "interp_check", accept)
+    for argv in (["three", "--level", "9"], ["three", "--level", "9", "--nmax", "8"],
+                 ["interp", "-p", "5", "--rmin", "8", "--rmax", "8", "--nmax", "12"]):
+        with pytest.raises(Accepted):
+            main(argv)
