@@ -2,7 +2,7 @@
 
 Every command is deterministic (fixed seeds where randomness is used) and the
 process exits 0 exactly when all embedded assertions pass.  JSON output
-follows {command, config, rows|checks, pass}.
+follows {command, config, rows and/or checks, pass}.
 """
 
 from __future__ import annotations
@@ -246,12 +246,14 @@ def cmd_three(args) -> int:
     The level-r value is canonical mod p^r, and dividing by h(kappa^(1-n)),
     of valuation 1 + v_p(n), costs that many digits.  When (p-1) | n the
     congruence holds for the c-regularized values, so those are gated and
-    the plain quotient is only reported.
+    the plain quotient is only reported.  The Coleman leg uses the pair
+    (a, b) = (1, 3), or (1, 2) at p = 3, where 3 is not prime to p.
     """
     r, k, n_max = args.level, args.kummer_k, args.nmax
     if n_max < 2:
         raise ValueError("need nmax >= 2")
     p, prec, c = args.prime, r + 4, 2
+    a, b = 1, 2 if p == 3 else 3
     M, N = _coleman_window(args, n_max)
     triv = DirichletCharacter.trivial(1, p)
     rows = [["n", "construction", "value", "agree_val", "min_agree"]]
@@ -259,7 +261,7 @@ def cmd_three(args) -> int:
     evens = range(2, n_max + 1, 2)
     group_algebra.branch_limit_index(p, evens[-1], k)  # the last Kummer index, before any work
     _check_level_work(p, r, r, len({(1 - n) % (p - 1) for n in evens}), len(evens))
-    for n, c_val in zip(evens, coleman.zeta_moments(evens, 1, 3, p, M, N)):
+    for n, c_val in zip(evens, coleman.zeta_moments(evens, a, b, p, M, N)):
         exact = exactq.euler_stripped_zeta(n, p)
         spec = group_algebra.PadicCharSpec((1 - n) % (p - 1), 1 - n)
         lhs = group_algebra.interp_check(triv, 0, n, r, prec=prec).lhs
@@ -277,7 +279,7 @@ def cmd_three(args) -> int:
         for name, val, agree, need in legs:
             ok &= need is None or agree >= need
             rows.append([n, name, val, agree, "-" if need is None else need])
-    return _emit(args, {"rows": rows}, ok)
+    return _emit(args, {"rows": rows, "checks": [f"coleman pair (a, b) = ({a}, {b})"]}, ok)
 
 
 def cmd_eigenspace(args) -> int:

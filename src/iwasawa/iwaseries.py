@@ -26,9 +26,12 @@ the Coleman series) through `binomial_row`; every logarithm through
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from functools import lru_cache
-from itertools import accumulate
+from itertools import chain, repeat
 from math import isqrt
+from struct import iter_unpack
 
 from .padic import PadicNumber, _check_odd_prime, from_rational_abs, int_vp
 
@@ -379,9 +382,12 @@ def mu_lambda_of(coeffs, p: int) -> tuple[int, int]:
 def mul_trunc(a, b, mod: int, n: int) -> list[int]:
     """First n coefficients of a*b mod `mod`, for coefficients in [0, mod).
 
-    The package's one product kernel, by Kronecker substitution: both
-    operands are packed into integers with slots wide enough for any exact
-    product coefficient, multiplied once, and the slots read back.
+    The package's one product kernel, by Kronecker substitution (Harvey,
+    J. Symbolic Comput. 44, 2009): both operands are packed into integers
+    with byte slots wide enough for any exact product coefficient,
+    multiplied once, and the slots read back.  `_pack` and `_unpack` move
+    the slot bytes with C-level copies, so the only Python-level pass over
+    the coefficients is the final reduction mod `mod`.
     """
     a, b = a[:n], b[:n]
     if not a or not b:
@@ -393,17 +399,51 @@ def mul_trunc(a, b, mod: int, n: int) -> list[int]:
 
 def _slot_width(mod: int, terms: int) -> int:
     """Bytes per Kronecker slot holding a sum of `terms` products of residues mod `mod`."""
-    return ((mod - 1) ** 2 * terms).bit_length() // 8 + 1
+    return (((mod - 1) ** 2 * terms).bit_length() + 7) // 8
 
 
 def _pack(v, width: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little")
+    """The integer sum_i v[i] 2^(8 width i), for 0 <= v[i] < 2^(8 width).
+
+    Slots of up to 8 bytes go through one array of 8-byte words, narrowed to
+    `width` bytes by `width` strided copies; wider slots are written by
+    `int.to_bytes` mapped over v.  Either way no Python loop visits a slot.
+    """
+    if width > 8:
+        return int.from_bytes(b"".join(map(int.to_bytes, v, repeat(width), repeat("little"))), "little")
+    words = array("Q", v)
+    if sys.byteorder == "big":
+        words.byteswap()
+    buf = words.tobytes()
+    if width < 8:
+        narrow = bytearray(len(v) * width)
+        for b in range(width):
+            narrow[b::width] = buf[b::8]
+        buf = narrow
+    return int.from_bytes(buf, "little")
 
 
 def _unpack(x: int, width: int, n: int, mod: int) -> list[int]:
-    """The first n slots of a packed integer, each reduced mod `mod`."""
-    buf = x.to_bytes(max(n * width, (x.bit_length() + 7) // 8), "little")
-    return [int.from_bytes(buf[i : i + width], "little") % mod for i in range(0, n * width, width)]
+    """The first n `width`-byte slots of a non-negative integer, each reduced mod `mod`.
+
+    The inverse copies of `_pack`: slots of up to 8 bytes are widened to
+    8-byte words by `width` strided copies and read as one array, wider ones
+    are read by `int.from_bytes` mapped over `struct.iter_unpack`.
+    """
+    size = n * width
+    buf = (x & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    if width > 8:
+        slots = map(int.from_bytes, chain.from_iterable(iter_unpack(f"{width}s", buf)), repeat("little"))
+    else:
+        if width < 8:
+            wide = bytearray(8 * n)
+            for b in range(width):
+                wide[b::8] = buf[b::width]
+            buf = wide
+        slots = array("Q", buf)
+        if sys.byteorder == "big":
+            slots.byteswap()
+    return [c % mod for c in slots]
 
 
 def log_one_plus(u: TruncatedSeries) -> TruncatedSeries:
@@ -430,7 +470,8 @@ def log_one_plus(u: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(p, acc, N)
 
 
-# Length up to which the Ruffini passes beat splitting in `taylor_shift`.
+# Length up to which one Kronecker evaluation beats splitting in `taylor_shift`,
+# set by timing lengths 125 to 3125: 64 and 128 were within noise, 32 and 256 slower.
 SHIFT_BASE_LENGTH = 64
 
 
@@ -440,9 +481,10 @@ def taylor_shift(c: list[int], mod: int) -> list[int]:
     f(1+T) = f_lo(1+T) + (1+T)^h f_hi(1+T), one `mul_trunc` per split, so
     O(M(d) log d) for length d.
 
-    Up to SHIFT_BASE_LENGTH the O(d^2) Ruffini scheme runs instead: pass k
-    replaces c[k:] by its suffix sums, a synthetic division by X - 1 of what
-    the earlier passes left, whose remainder c[k] is the T^k coefficient.
+    Up to SHIFT_BASE_LENGTH, f is evaluated by Horner at the one integer
+    X = 1 + 2^(8w) and the result read in w-byte slots: slot j holds
+    sum_k C(k, j) c_k <= (mod-1) C(d, j+1) < 2^(8w) with
+    w = ((mod-1).bit_length() + d) // 8 + 1, so no slot carries into the next.
     """
     c = [v % mod for v in c]
     d = len(c)
@@ -450,13 +492,12 @@ def taylor_shift(c: list[int], mod: int) -> list[int]:
         h = d // 2
         out = mul_trunc([v % mod for v in binomial_row(h, h + 1)], taylor_shift(c[h:], mod), mod, d)
         return [(v + w) % mod for v, w in zip(taylor_shift(c[:h], mod), out)] + out[h:]
-    for k in range(d - 1):
-        tail = list(accumulate(reversed(c[k:])))
-        tail.reverse()
-        c[k:] = tail
-        if k % 32 == 31:
-            c[k:] = [v % mod for v in c[k:]]
-    return [v % mod for v in c]
+    w = ((mod - 1).bit_length() + d) // 8 + 1
+    shift = 8 * w
+    y = 0
+    for v in reversed(c):
+        y = (y << shift) + y + v
+    return _unpack(y, w, d, mod)
 
 
 def inverse_taylor_shift(c: list[int], mod: int) -> list[int]:

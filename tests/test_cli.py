@@ -190,6 +190,18 @@ def test_three_command_defaults(capsys):
     assert {"stickelberger", "coleman", "kummer limit", "kummer regularized (c=2)"} <= legs
 
 
+def test_three_command_runs_at_p_3_with_a_pair_prime_to_p(capsys):
+    # 3 is not prime to p = 3, so the Coleman leg takes (a, b) = (1, 2) there
+    code, out, _ = run(capsys, "three", "-p", "3")
+    assert code == 0 and out.strip().endswith("coleman pair (a, b) = (1, 2)\npass: True")
+    code, out, _ = run(capsys, "three", "-p", "3", "--level", "8", "--nmax", "8", "--json")
+    doc = json.loads(capsys_last_line(out))
+    assert code == 0 and doc["pass"] is True and doc["checks"] == ["coleman pair (a, b) = (1, 2)"]
+    assert [row[0] for row in doc["rows"][1:] if row[1] == "coleman"] == [2, 4, 6, 8]
+    code, out, _ = run(capsys, "three", "-p", "5", "--json")
+    assert json.loads(capsys_last_line(out))["checks"] == ["coleman pair (a, b) = (1, 3)"]
+
+
 def test_three_command_gates_regularized_limit_when_p_minus_1_divides_n(capsys):
     # at p = 11, k = 1 the plain Kummer quotient at n = 10 agrees to 0 digits;
     # only the c-regularized congruence is gated there

@@ -2,12 +2,14 @@
 schoolbook references written here."""
 
 import random
+from math import isqrt
 
 import pytest
 
 from iwasawa.iwaseries import (
     IndeterminateWithinTruncation,
     TruncatedSeries,
+    _slot_width,
     mu_lambda_of,
     mul_trunc,
     poly_mul,
@@ -39,8 +41,9 @@ def random_coeffs(rng, length, mod, zero_share=0.0):
     return [0 if rng.random() < zero_share else rng.randrange(mod) for _ in range(length)]
 
 
+# N = 25 and 30 add moduli above 2^64 (5^30, 7^25, 7^30)
 @pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("N", [1, 6, 20])
+@pytest.mark.parametrize("N", [1, 6, 20, 25, 30])
 def test_mul_trunc_matches_schoolbook(p, N):
     rng = random.Random(p * 100 + N)
     mod = p**N
@@ -56,7 +59,7 @@ def test_mul_trunc_matches_schoolbook(p, N):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("N", [1, 6, 20])
+@pytest.mark.parametrize("N", [1, 6, 20, 25, 30])
 def test_mul_trunc_extreme_and_sparse_inputs(p, N):
     rng = random.Random(p + N)
     mod = p**N
@@ -67,6 +70,27 @@ def test_mul_trunc_extreme_and_sparse_inputs(p, N):
         b = random_coeffs(rng, 21, mod, share)
         assert mul_trunc(a, b, mod, 40) == schoolbook(a, b, mod, 40)
         assert mul_trunc(tuple(a), tuple(b), mod, 60) == schoolbook(a, b, mod, 60)
+
+
+# slots of up to 8 bytes are packed through 8-byte words, wider ones one by one
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17])
+def test_mul_trunc_fills_slots_of_every_width(width):
+    """Operands at mod - 1 fill each product slot to within a factor 2 of its top byte."""
+    rng = random.Random(width)
+    for terms in (1, 5, 16):
+        mod = isqrt((1 << 8 * width) // terms)
+        assert _slot_width(mod, terms) == width
+        top = [mod - 1] * terms
+        for other in (top, [mod - 1] * (terms + 3), random_coeffs(rng, 2 * terms, mod)):
+            for n in (1, terms, len(other) + terms - 1):
+                assert mul_trunc(top, other, mod, n) == schoolbook(top, other, mod, n), (terms, n)
+
+
+def test_slot_width_rounds_the_bound_up_to_whole_bytes():
+    # (2^32 - 1)^2 < 2^64 fills 8 bytes; (2^32)^2 = 2^64 needs a ninth
+    assert _slot_width(2**32, 1) == 8
+    assert _slot_width(2**32 + 1, 1) == 9
+    assert _slot_width(2, 255) == 1 and _slot_width(2, 256) == 2
 
 
 def test_mul_trunc_squares_an_operand_passed_twice():
