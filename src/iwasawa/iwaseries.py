@@ -471,8 +471,10 @@ def log_one_plus(u: TruncatedSeries) -> TruncatedSeries:
 
 
 # Length up to which one Kronecker evaluation beats splitting in `taylor_shift`,
-# set by timing lengths 125 to 3125: 64 and 128 were within noise, 32 and 256 slower.
-SHIFT_BASE_LENGTH = 64
+# set by timing lengths 46 to 3125 at limits 32 to 128: 80 to 112 were within
+# noise, 64 about 6% slower at lengths 312 to 625, 32 and 128 slower.  Base
+# slots are wider than 8 bytes from about length 50, and still beat splitting.
+SHIFT_BASE_LENGTH = 96
 
 
 def taylor_shift(c: list[int], mod: int) -> list[int]:

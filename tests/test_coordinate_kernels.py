@@ -83,9 +83,11 @@ def _naive_taylor_shift(c, mod):
     return [sum(v * comb(k, j) for k, v in enumerate(c)) % mod for j in range(len(c))]
 
 
-# 64 (SHIFT_BASE_LENGTH) is the last length shifted by one Horner evaluation,
-# 65 splits once; 300 splits at 300, 150 and 75.  13^20 lies above 2^64.
-@pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 129, 300])
+# 96 (SHIFT_BASE_LENGTH) is the last length shifted by one Horner evaluation,
+# 97 splits once; 300 splits at 300 and 150.  At 5^6 and 7^4 one evaluation
+# reads slots of 8 bytes or less up to length 40 and wider ones from 63 on;
+# 13^20 lies above 2^64.
+@pytest.mark.parametrize("length", [1, 2, 40, 63, 64, 65, 95, 96, 97, 129, 300])
 @pytest.mark.parametrize("mod", [5**6, 7**4, 13**20])
 def test_taylor_shift_matches_binomial_sums(length, mod):
     rng = random.Random(length * mod)
