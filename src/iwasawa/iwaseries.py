@@ -472,8 +472,9 @@ def log_one_plus(u: TruncatedSeries) -> TruncatedSeries:
 
 # Length up to which one Kronecker evaluation beats splitting in `taylor_shift`,
 # set by timing lengths 46 to 3125 at limits 32 to 128: 80 to 112 were within
-# noise, 64 about 6% slower at lengths 312 to 625, 32 and 128 slower.  Base
-# slots are wider than 8 bytes from about length 50, and still beat splitting.
+# noise, 64 was 6-10% slower at lengths 94 and 312 to 625, and 32 to 56 and
+# 128 slower at lengths 62 to 125.  Base slots are wider than 8 bytes from
+# about length 50, and one evaluation still beats a split into 8-byte halves.
 SHIFT_BASE_LENGTH = 96
 
 
