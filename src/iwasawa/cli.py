@@ -48,12 +48,14 @@ def _json_safe(x):
 
 def cmd_bernoulli(args) -> int:
     upto = args.upto
+    if upto < 1:
+        raise ValueError("nothing to tabulate: need upto >= 1")
     limit = exactq.first_unprintable_index()
     if upto > limit:
         raise ValueError(f"--upto {upto} reaches B_{limit}, whose numerator has more than "
                          f"{exactq.PRINTABLE_DIGITS} digits; use --upto {limit} or less")
     rows = [["n", "B_n", "zeta(1-n)"]]
-    indices = [0, 1] + [n for n in range(2, upto, 2)]
+    indices = [0, 1][:upto] + list(range(2, upto, 2))
     exactq.bernoulli(indices[-1])  # one cache build to the last index, not doublings past it
     for n in indices:
         zeta = str(exactq.zeta_neg(n)) if n >= 1 else "-"
@@ -222,6 +224,8 @@ COLEMAN_MIN_AGREE = 3
 
 def cmd_coleman(args) -> int:
     p, n_max = args.prime, args.nmax
+    if n_max < 1:
+        raise ValueError("nothing to check: need nmax >= 1")
     pair_list = []
     for chunk in args.pairs.split(";"):
         a, b = (int(x) for x in chunk.split(","))
@@ -402,36 +406,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.
+    """The `iwasawa` command: run one subcommand and return its exit code.
 
-    A failing command (bad input, unreadable file) prints `error: ...` and
-    returns 2.  An invalid configuration such as `--prime 1` raises
-    ValueError to the caller; `entry` reports it the same way.
+    A bad configuration (`--prime 1`, `--prec 0`), bad input or an unreadable
+    file prints `error: ...` and returns 2.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     args, extra = ap.parse_known_args(argv)
     if extra:  # refused by the parser they were given to, so its usage line is shown
         (args.parser if argv[0] == args.command else ap).error(f"unrecognized arguments: {' '.join(extra)}")
-    if "prime" in args:
-        _check_odd_prime(args.prime)
-    if "prec" in args and min(args.prec, args.trunc) < 1:
-        raise ValueError("prec and trunc must be >= 1")
     try:
+        if "prime" in args:
+            _check_odd_prime(args.prime)
+        if "prec" in args and min(args.prec, args.trunc) < 1:
+            raise ValueError("prec and trunc must be >= 1")
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def entry(argv=None) -> int:
-    """The `iwasawa` command: like `main`, and a bad configuration exits 2 too."""
-    try:
-        return main(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 if __name__ == "__main__":
-    sys.exit(entry())
+    sys.exit(main())

@@ -220,10 +220,10 @@ def kummer_congruence_check(m: int, n: int, p: int, k: int, c: int) -> KummerRep
 
 
 def irregular_indices(p: int) -> set[int]:
-    """Even n with 2 <= n <= p-3 and p | zeta(1-n); empty iff p is regular."""
+    """Even n with 2 <= n <= p-3 and p | zeta(1-n); empty iff p is regular.
+
+    There (p-1) does not divide n, so p divides neither n nor, by von
+    Staudt-Clausen, the denominator of B_n: p | zeta(1-n) = -B_n/n exactly
+    when p divides the numerator of B_n."""
     _check_odd_prime(p)
-    out = set()
-    for n in range(2, p - 2, 2):
-        if vp(zeta_neg(n), p) >= 1:
-            out.add(n)
-    return out
+    return {n for n in range(2, p - 2, 2) if bernoulli(n).numerator % p == 0}

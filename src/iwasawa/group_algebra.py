@@ -22,7 +22,6 @@ PadicNumbers keyed by unit residue.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,10 +62,10 @@ class GroupRingElement:
         _normalize(self, modulus, num, den, prime, window)
 
     @property
-    def coeffs(self) -> Mapping:
-        """The nonzero coefficients as a read-only {a: Fraction} (exact) or
-        {a: PadicNumber} (windowed) mapping, computed on read."""
-        return _Coeffs(self)
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as {a: Fraction} (exact) or {a: PadicNumber}
+        (windowed), built on each read."""
+        return {a: self._coeff(n) for a, n in zip(_units(self.modulus)[0], self.num) if n}
 
     def _coeff(self, n: int):
         q = Fraction(n, self.den)
@@ -99,9 +98,6 @@ class GroupRingElement:
         window = min(_w(self) + _v(other, p), _w(other) + _v(self, p)) if p else None
         return _element(m, out, self.den * other.den, p, window)
 
-    def scalar_mul(self, s) -> "GroupRingElement":
-        return self * GroupRingElement(self.modulus, {1: s})
-
     def mass(self):
         """Sum of all coefficients (the image under the trivial character)."""
         return self._coeff(sum(self.num))
@@ -112,27 +108,7 @@ class GroupRingElement:
         return self.modulus == other.modulus and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"<group ring element mod {self.modulus} with {len(self.coeffs)} terms>"
-
-
-class _Coeffs(Mapping):
-    """The nonzero coefficients of an element, computed on read."""
-
-    def __init__(self, x: GroupRingElement):
-        self._x = x
-
-    def __getitem__(self, a):
-        x = self._x
-        i = _unit_positions(x.modulus)[a] if isinstance(a, int) and 0 <= a < x.modulus else -1
-        if i < 0 or not x.num[i]:
-            raise KeyError(a)
-        return x._coeff(x.num[i])
-
-    def __iter__(self):
-        return (a for a, n in zip(_units(self._x.modulus)[0], self._x.num) if n)
-
-    def __len__(self):
-        return len(self._x.num) - self._x.num.count(0)
+        return f"<group ring element mod {self.modulus} with {len(self.num) - self.num.count(0)} terms>"
 
 
 def _normalize(x, modulus, num, den, prime, window):
@@ -239,15 +215,6 @@ def _inverted(num: list, m: int) -> list:
         return list(chain.from_iterable(row[:1] + row[:0:-1] for row in rows[:1] + rows[:0:-1]))
     pos = _unit_positions(m)
     return [num[pos[pow(a, -1, m)]] for a in units]
-
-
-def _level_index(p: int, r: int) -> array:
-    """pos[a] = t * p^(r-1) + k where a = zeta^t gamma^k mod p^r, -1 off the units.
-
-    zeta is the root of `teichmuller_table`, so t is the Teichmuller index
-    of a and k = dlog_gamma <a> mod p^(r-1).
-    """
-    return _unit_positions(p**r)
 
 
 # -- Stickelberger elements and projections ---------------------------------
@@ -615,7 +582,7 @@ def branch_limit_regularized(p: int, n: int, k: int, c: int) -> Fraction:
 
 def principal_unit_dlog(u: int, p: int, r: int) -> int:
     """j with (1+p)^j = u mod p^r, for u = 1 mod p; returned mod p^(r-1)."""
-    k = _level_index(p, r)[u % p**r]
+    k = _unit_positions(p**r)[u % p**r]
     if not 0 <= k < p ** (r - 1):
         raise ValueError(f"{u} is not a principal unit mod {p}^{r}")
     return k

@@ -37,15 +37,9 @@ class ElementaryModule:
     prime: int
     p_exponents: tuple[int, ...] = ()
     dist_polys: tuple[tuple[int, ...], ...] = ()
-    free_rank: int = 0
 
     def __post_init__(self):
         _check_odd_prime(self.prime)
-        if self.free_rank != 0:
-            raise ValueError(
-                "free Lambda-summands are excluded: a module of infinite "
-                "Z_p-rank is not torsion and the growth law does not apply"
-            )
         object.__setattr__(self, "p_exponents", tuple(self.p_exponents))
         object.__setattr__(self, "dist_polys", tuple(tuple(q) for q in self.dist_polys))
         for mu in self.p_exponents:

@@ -40,16 +40,6 @@ def dirac(a, p: int = None, trunc: int = None, prec: int = None) -> TruncatedSer
     return TruncatedSeries(p, binomial_row(int(a), trunc), prec)
 
 
-def convolve(mu1: TruncatedSeries, mu2: TruncatedSeries) -> TruncatedSeries:
-    """Convolution of measures = product of the corresponding series."""
-    return mu1 * mu2
-
-
-def total_mass(mu: TruncatedSeries) -> PadicNumber:
-    """Integral of the constant function 1, i.e. the constant coefficient."""
-    return mu.coeff(0)
-
-
 def moments(mu: TruncatedSeries, n_max: int) -> list[PadicNumber]:
     """Integrals of x^0, ..., x^n_max: D = (1+T) d/dT is applied once per step
     and each constant term (D^n g)(0) read."""

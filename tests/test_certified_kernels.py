@@ -303,7 +303,7 @@ TWENTY_PAIRS = ";".join(f"1,{b}" for b in range(2, 32) if b % 3)
 ])
 def test_oversized_coleman_windows_end_promptly(capsys, argv):
     start = time.perf_counter()
-    code = cli.entry(argv)
+    code = cli.main(argv)
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:") and "work bound" in err
@@ -313,7 +313,7 @@ def test_oversized_coleman_windows_end_promptly(capsys, argv):
 def test_kummer_index_past_the_budget_ends_promptly(capsys):
     """three checks its last Kummer index, nmax + p^k (p-1), before any work."""
     start = time.perf_counter()
-    code = cli.entry(["three", "--prime", "5", "--prec", "1", "--nmax", "1400", "--kummer-k", "3"])
+    code = cli.main(["three", "--prime", "5", "--prec", "1", "--nmax", "1400", "--kummer-k", "3"])
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:") and "exact-cache budget" in err

@@ -22,10 +22,11 @@ def test_bernoulli_table_matches_listed_values(capsys):
     assert 3 not in table and 5 not in table  # odd rows suppressed
 
 
-def test_bernoulli_row_count(capsys):
-    code, out, _ = run(capsys, "bernoulli", "--upto", "30")
+@pytest.mark.parametrize("upto, rows", [(30, 16), (2, 2), (1, 1)])
+def test_bernoulli_row_count(capsys, upto, rows):
+    code, out, _ = run(capsys, "bernoulli", "--upto", str(upto))
     data_rows = out.strip().splitlines()[1:-1]  # drop header and pass line
-    assert len(data_rows) == 16
+    assert len(data_rows) == rows  # only n < upto: B_1 needs upto >= 2
 
 
 def test_irregular_command(capsys):
@@ -111,8 +112,9 @@ def test_commands_are_deterministic(capsys):
 
 
 def test_bad_config_rejected(capsys):
-    with pytest.raises(ValueError):
-        main(["irregular", "--prime", "2"])
+    code, out, err = run(capsys, "irregular", "--prime", "2")
+    assert code == 2
+    assert err.startswith("error:") and "pass:" not in out
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -123,12 +125,43 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
         assert err.startswith("error:") and "missing.txt" in err
 
 
-def test_bad_prime_exits_2(capsys):
-    from iwasawa.cli import entry
+def test_empty_runs_are_refused_before_any_work(capsys, monkeypatch):
+    from iwasawa import coleman, exactq
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(exactq, "bernoulli", refuse)
+    monkeypatch.setattr(coleman, "zeta_moments", refuse)
+    for argv in (["bernoulli", "--upto", "0"], ["bernoulli", "--upto", "-3"], ["coleman", "--nmax", "0"],
+                 ["coleman", "--nmax", "-2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: nothing to") and out == "", argv
+
+
+def test_console_script_target(capsys):
+    """The `iwasawa` script of pyproject.toml, read without tomllib (absent
+    before Python 3.11), is the command line."""
+    import importlib
+    from pathlib import Path
+
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    targets = dict(ln.replace('"', "").split(" = ") for ln in section.strip().splitlines())
+    module, _, name = targets["iwasawa"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert target(["irregular", "-p", "9"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and out.out == ""
+    assert target(["irregular", "-p", "37"]) == 0
+    assert "[32]" in capsys.readouterr().out
+
+
+def test_bad_prime_exits_2(capsys):
     for argv in (["irregular", "--prime", "1"], ["irregular", "--prime", "9"], ["irregular", "-p", "9"],
                  ["irregular", "-p", "1"]):
-        code = entry(argv)
+        code = main(argv)
         out = capsys.readouterr()
         assert code == 2, argv
         assert out.err.startswith("error:") and "pass:" not in out.out, argv
@@ -148,15 +181,16 @@ def test_command_line_reports_errors_without_traceback(tmp_path):
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, argv
 
 
-def test_non_primes_rejected():
+def test_non_primes_rejected(capsys):
     from iwasawa.exactq import irregular_indices
 
     for q in (1, 2, 9, 15):
         with pytest.raises(ValueError):
             irregular_indices(q)
         for command in ("irregular", "interp", "coleman", "three", "eigenspace", "selfcheck"):
-            with pytest.raises(ValueError):
-                main([command, "-p", str(q)])
+            code, out, err = run(capsys, command, "-p", str(q))
+            assert code == 2, (command, q)
+            assert err.startswith("error:") and "pass:" not in out, (command, q)
 
 
 def test_json_config_reports_the_prime_of_the_input_file(tmp_path, capsys):
@@ -246,8 +280,6 @@ def test_every_readme_command_line_runs(capsys, tmp_path, monkeypatch):
     import shlex
     from pathlib import Path
 
-    from iwasawa.cli import entry
-
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (tmp_path / "series.txt").write_text("5 6 4\n1:1\n0:3\n0:1\n0:0\n2:1\n0:4\n")
     (tmp_path / "module.txt").write_text("\n".join(_readme_block(readme, "A module file for")) + "\n")
@@ -257,7 +289,7 @@ def test_every_readme_command_line_runs(capsys, tmp_path, monkeypatch):
         command, _, comment = line.partition("#")
         argv = shlex.split(command)
         assert argv[0] == "iwasawa"
-        code = entry(argv[1:])
+        code = main(argv[1:])
         outputs[" ".join(argv[1:])] = (comment.strip(), capsys.readouterr().out)
         assert code == 0, line
     comment, out = outputs["irregular -p 691"]

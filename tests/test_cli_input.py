@@ -18,11 +18,11 @@ MODULE = "p 3\nppow 1\ndist 9 3 1\n"  # the README module file
 
 
 def _run(argv):
-    """Run `cli.entry` in-process: (exit code, stdout, stderr)."""
+    """Run `cli.main` in-process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.entry(argv)
+            code = cli.main(argv)
         except SystemExit as exc:  # argparse refusing the command line
             code = exc.code
     return code, out.getvalue(), err.getvalue()

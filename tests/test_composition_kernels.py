@@ -194,7 +194,7 @@ def test_three_command_builds_one_measure(capsys, builds):
 
 def test_two_hundred_moments_end_promptly(capsys):
     start = time.perf_counter()
-    code = cli.entry(["coleman", "--prime", "5", "--prec", "8", "--nmax", "200", "--trunc", "242"])
+    code = cli.main(["coleman", "--prime", "5", "--prec", "8", "--nmax", "200", "--trunc", "242"])
     elapsed = time.perf_counter() - start
     assert code == 0, capsys.readouterr().err
     assert elapsed < 10

@@ -17,8 +17,8 @@ from iwasawa.exactq import BernoulliCache, bernoulli, kummer_regularized_value
 from iwasawa.group_algebra import (
     GroupRingElement,
     PadicCharSpec,
-    _level_index,
     _p_power_level,
+    _unit_positions,
     branch_limit_index,
     branch_limit_oracle,
     branch_limit_regularized,
@@ -212,7 +212,7 @@ def _old_component_series(x, i, p, prec):
     K = prec + shift
     pK = p**K
     zeta_pow = teichmuller_table(p, K).zeta_pow
-    pos = _level_index(p, r)
+    pos = _unit_positions(p**r)
     deg = p ** (r - 1)
     acc = [0] * deg
     for a, (num_q, extra) in norm.items():

@@ -173,6 +173,13 @@ def test_irregular_indices():
         assert irregular_indices(p) == set()
 
 
+def test_irregular_indices_match_the_zeta_valuation():
+    primes = [p for p in range(3, 700, 2) if all(p % q for q in range(3, int(p**0.5) + 1, 2))]
+    assert len(primes) == 124
+    for p in primes:
+        assert irregular_indices(p) == {n for n in range(2, p - 2, 2) if vp(zeta_neg(n), p) >= 1}, p
+
+
 def test_euler_stripped_zeta():
     assert exactq.euler_stripped_zeta(2, 5) == (1 - 5) * Fraction(-1, 12)
 

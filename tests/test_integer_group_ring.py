@@ -7,6 +7,7 @@ agree to the precision the N result reports."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,10 +16,10 @@ from iwasawa.characters import DirichletCharacter, from_generator_data, quadrati
 from iwasawa.group_algebra import (
     GroupRingElement,
     PadicCharSpec,
-    _level_index,
     _p_power_level,
     _branch,
     _hmu_rows,
+    _unit_positions,
     component_series,
     evaluate_char,
     h_element,
@@ -122,7 +123,7 @@ def _ref_component_series(x, m, i, p, prec):
     r = _p_power_level(m, p)
     res, shift, _ = _ref_residues(x, p, prec)
     K = prec + shift
-    pos = _level_index(p, r)
+    pos = _unit_positions(p**r)
     table = [0] * ((p - 1) * p ** (r - 1))
     for a, num in res.items():
         table[pos[a]] = num
@@ -245,6 +246,23 @@ def test_exact_character_values_and_components_are_the_dict_results(p, r):
             assert _outcome(component_series, x, i, p, 6) == _outcome(_ref_component_series, cx, m, i, p, 6)
 
 
+@pytest.mark.parametrize("m", [12, 35, 36, 75])
+def test_exact_products_off_odd_prime_powers_are_the_dict_results(m):
+    """A modulus that is not an odd prime power keeps the units in increasing
+    order, and sigma_b permutes the positions through the unit table."""
+    rng = random.Random(m)
+    units = [a for a in range(1, m) if gcd(a, m) == 1]
+    assert stickelberger(m).coeffs == {a: Fraction(-pow(a, -1, m), m) for a in units}
+    xs = [stickelberger(m)] + [
+        GroupRingElement(m, {a: Fraction(rng.randrange(-60, 60), rng.choice((1, 2, 3, 7, m)))
+                             for a in rng.sample(units, min(len(units), rng.choice((2, 6, 40))))})
+        for _ in range(6)
+    ]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert (x * y).coeffs == _ref_mul(x.coeffs, y.coeffs, m)
+        assert (x * x).coeffs == _ref_mul(x.coeffs, x.coeffs, m)
+
+
 def test_integral_products_have_denominator_one():
     for p, r in LEVELS:
         hmu = h_element(1, r, p) * mu_chi_level(DirichletCharacter.trivial(1, p), r, 8)
@@ -342,7 +360,7 @@ def _parent_hmu_table(chi, r, prec):
     shift x - (1+Np) y along the k axis by k0 = dlog_gamma(1+Np)."""
     p, N = chi.prime, chi.modulus
     pK, d = p ** (prec + r), p ** (r - 1)
-    pos = _level_index(p, r)
+    pos = _unit_positions(p**r)
     flat = [0] * ((p - 1) * d)
     scale = -pow(N, -1, pK)
     for b, acc in _parent_mu_level_sums(chi, r, prec):
@@ -375,5 +393,5 @@ def test_hmu_table_is_the_former_formula_and_the_layout_of_h_times_mu(p, chi, r)
     layout = [0] * len(table)
     for a, c in hmu.coeffs.items():
         q = _lift(c) * p**r
-        layout[_level_index(p, r)[a]] = q.numerator * pow(q.denominator, -1, pK) % pK
+        layout[_unit_positions(p**r)[a]] = q.numerator * pow(q.denominator, -1, pK) % pK
     assert table == tuple(layout)

@@ -46,8 +46,6 @@ def test_invariants_additive_on_direct_sums():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        ElementaryModule(5, (), (), free_rank=1)
-    with pytest.raises(ValueError):
         ElementaryModule(5, (0,), ())
     with pytest.raises(ValueError):
         ElementaryModule(5, (), ((1, 1),))  # not distinguished: constant is a unit

@@ -21,8 +21,8 @@ from iwasawa.characters import (
 from iwasawa.group_algebra import (
     GroupRingElement,
     _hmu_rows,
-    _level_index,
     _p_power_level,
+    _unit_positions,
     component_series,
     h_element,
     interp_check,
@@ -147,7 +147,7 @@ def _rows_table(chi: DirichletCharacter, r: int, prec: int) -> list[list[int]]:
     """The former rows c[t][k] of h_N mu_chi at level r."""
     p, N = chi.prime, chi.modulus
     pK, d = p ** (prec + r), p ** (r - 1)
-    pos = _level_index(p, r)
+    pos = _unit_positions(p**r)
     flat = [0] * ((p - 1) * d)
     scale = -pow(N, -1, pK)
     for b, acc in _parent_mu_level_sums(chi, r, prec):
@@ -235,7 +235,7 @@ def _bucket_component(x: GroupRingElement, i: int, p: int, prec: int) -> tuple[i
     res, shift, _ = _coeff_residues(x, p, prec)
     pK = p ** (prec + shift)
     zeta_pow = teichmuller_table(p, prec + shift).zeta_pow
-    pos = _level_index(p, r)
+    pos = _unit_positions(p**r)
     deg = p ** (r - 1)
     acc = [0] * deg
     for a, num in res.items():

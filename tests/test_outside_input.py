@@ -7,7 +7,7 @@ import time
 import pytest
 
 from iwasawa import lambda_modules
-from iwasawa.cli import entry, main
+from iwasawa.cli import main
 from iwasawa.exactq import bernoulli_poly, bernoulli_poly_eval
 from iwasawa.iwaseries import MAX_FILE_PREC, TruncatedSeries
 from iwasawa.lambda_modules import ElementaryModule, parse_module_file
@@ -34,9 +34,9 @@ def test_weierstrass_rejects_non_prime_series_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def _timed_entry(argv, capsys):
+def _timed_main(argv, capsys):
     t0 = time.perf_counter()
-    code = entry(argv)
+    code = main(argv)
     return code, time.perf_counter() - t0, capsys.readouterr().err
 
 
@@ -46,7 +46,7 @@ def _timed_entry(argv, capsys):
 def test_series_files_that_could_hang_exit_2_promptly(tmp_path, capsys, text):
     path = tmp_path / "series.txt"
     path.write_text(text)
-    code, seconds, err = _timed_entry(["weierstrass", str(path)], capsys)
+    code, seconds, err = _timed_main(["weierstrass", str(path)], capsys)
     assert code == 2 and err.startswith("error:") and seconds < 1
 
 
@@ -60,17 +60,17 @@ def test_growth_work_bound_refuses_before_any_work(tmp_path, capsys, monkeypatch
     big = tmp_path / "big.txt"
     big.write_text("p 5\ndist " + "5 " * 120 + "1\n")
     for argv in (["growth", str(module), "--rmax", "1000000"], ["growth", str(big), "--rmax", "2"]):
-        code, seconds, err = _timed_entry(argv, capsys)
+        code, seconds, err = _timed_main(argv, capsys)
         assert code == 2 and err.startswith("error:") and "work bound" in err and seconds < 1
 
 
 def test_growth_to_level_30_is_prompt_and_an_infinite_quotient_exits_2(tmp_path, capsys):
     module = tmp_path / "module.txt"
     module.write_text("p 5\nppow 1\ndist 5 0 1\ndist 10 5 0 1\n")
-    code, seconds, err = _timed_entry(["growth", str(module), "--rmax", "30", "--json"], capsys)
+    code, seconds, err = _timed_main(["growth", str(module), "--rmax", "30", "--json"], capsys)
     assert code == 0 and seconds < 1
     module.write_text("p 3\ndist 3 3 1\n")  # Phi_3(1+T)
-    code, seconds, err = _timed_entry(["growth", str(module)], capsys)
+    code, seconds, err = _timed_main(["growth", str(module)], capsys)
     assert code == 2 and err == "error: quotient is infinite\n"
 
 
@@ -83,7 +83,7 @@ def test_series_file_precision_bound_and_high_valuations():
 
 
 def test_large_prime_is_refused_promptly(capsys):
-    code, seconds, err = _timed_entry(["irregular", "--prime", "1000000000000000003"], capsys)
+    code, seconds, err = _timed_main(["irregular", "--prime", "1000000000000000003"], capsys)
     assert code == 2 and err.startswith("error:") and f"2^{MAX_PRIME_BITS}" in err and seconds < 1
     with pytest.raises(PadicError, match="too large"):
         _check_odd_prime(2**MAX_PRIME_BITS + 15)
@@ -129,7 +129,7 @@ def test_level_work_bound_refuses_before_any_work(capsys, monkeypatch):
                  ["three", "--level", "9", "--nmax", "100"],
                  ["interp", "-p", "5", "--rmin", "10", "--rmax", "10"],
                  ["interp", "-p", "5", "--rmin", "9", "--rmax", "9", "--nmax", "2"]):
-        code, seconds, err = _timed_entry(argv, capsys)
+        code, seconds, err = _timed_main(argv, capsys)
         assert code == 2 and err.startswith("error:") and "work bound" in err and seconds < 1, argv
 
 
@@ -142,7 +142,7 @@ def test_interp_with_nothing_to_check_is_refused_before_any_work(argv, capsys, m
         raise AssertionError("a level table was built")
 
     monkeypatch.setattr(group_algebra, "interp_check", refuse)
-    code, seconds, err = _timed_entry(argv, capsys)
+    code, seconds, err = _timed_main(argv, capsys)
     assert code == 2 and err.startswith("error:") and "nothing to check" in err and seconds < 1
 
 
@@ -159,7 +159,7 @@ def test_interp_l_value_bound_refuses_before_any_work(capsys, monkeypatch):
                  ["interp", "-p", "5", "--rmin", "2", "--rmax", "2", "--nmax", "62500"],
                  ["interp", "--n", "1501"],
                  ["interp", "-p", "5", "--rmin", "2", "--rmax", "1000000000", "--nmax", "2"]):
-        code, seconds, err = _timed_entry(argv, capsys)
+        code, seconds, err = _timed_main(argv, capsys)
         assert code == 2 and err.startswith("error:") and "work bound" in err and seconds < 1, argv
 
 
