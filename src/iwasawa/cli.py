@@ -93,15 +93,17 @@ def _check_level_work(p: int, r_min: int, r_max: int, branches: int, evaluations
                          f"branches plus p^(r-1) per evaluation <= {MAX_LEVEL_WORK:.0e}")
 
 
-# Largest L-value work of a command-line `interp` run, levels (p-1) N p
-# sum_n (n+8)^2: each of its (p-1)|n| checks per level computes B_(n, chi psi)
-# by an integer Horner of degree n, on integers that grow with n, at each unit
-# mod the conductor of chi psi (at most N p, N the conductor of chi), plus a
-# fixed cost per unit of about 8 Horner steps.  (p, N, nmax) = (5, 1, 300) at
-# one level, work 2.0e8, runs in about 2.3 s on a 2-vCPU x86 VM; the slowest
-# accepted line found, `interp -p 167 --chi quadratic3 --rmin 2 --rmax 2
-# --nmax 11` (near both bounds), in about 3.7 s.  The level-table work does
-# not count this side, which dominates at small r.
+# Largest L-value work of a command-line `interp` run, (p-1) N p sum_n
+# (n+8)^2: each of its (p-1)|n| (j, n) pairs computes B_(n, chi psi) once,
+# whatever the levels (the value does not depend on r and is cached), by an
+# integer Horner of degree n, on integers that grow with n, at each unit mod
+# the conductor of chi psi (at most N p, N the conductor of chi), plus a fixed
+# cost per unit of about 8 Horner steps.  (p, N, nmax) = (5, 1, 300), work
+# 2.0e8, runs in about 2.3 s on a 2-vCPU x86 VM; the slowest accepted line
+# found, `interp -p 167 --chi quadratic3 --rmin 2 --rmax 2 --nmax 11` (near
+# both bounds), in about 3.7 s, and `interp -p 3 --n 1500 --rmin 2 --rmax 13`
+# (twelve levels) about as long.  The level-table work does not count this
+# side, which dominates at small r.
 MAX_LVALUE_WORK = 2 * 10**8
 
 
@@ -120,11 +122,10 @@ def cmd_interp(args) -> int:
     if ns[-1] > group_algebra.BERNOULLI_INDEX_LIMIT:
         raise ValueError(f"n = {ns[-1]} exceeds the work bound n <= {group_algebra.BERNOULLI_INDEX_LIMIT} "
                          f"of exact B_n")
-    lvalue_work = (r_max - r_min + 1) * (p - 1) * chi.modulus * p * sum((n + 8) ** 2 for n in ns)
+    lvalue_work = (p - 1) * chi.modulus * p * sum((n + 8) ** 2 for n in ns)
     if lvalue_work > MAX_LVALUE_WORK:
-        raise ValueError(f"indices n <= {ns[-1]} at p = {p} with conductor {chi.modulus} over levels "
-                         f"{r_min}..{r_max} exceed the work bound levels (p-1) N p sum (n+8)^2 <= "
-                         f"{MAX_LVALUE_WORK:.0e} of the L-values")
+        raise ValueError(f"indices n <= {ns[-1]} at p = {p} with conductor {chi.modulus} exceed the "
+                         f"work bound (p-1) N p sum (n+8)^2 <= {MAX_LVALUE_WORK:.0e} of the L-values")
     _check_level_work(p, r_min, r_max, p - 1, (p - 1) * len(ns))
     for j in range(p - 1):
         for n in ns:
@@ -181,10 +182,12 @@ MAX_GROWTH_WORK = 10**6
 
 def cmd_growth(args) -> int:
     e, r_max = args.e, args.rmax
+    if r_max <= e:
+        raise ValueError("nothing to compute: need rmax > e (the tower runs over e < r <= rmax)")
     with open(args.module_file) as fh:
         E = lambda_modules.parse_module_file(fh.read())
     degrees = [len(q) - 1 for q in E.dist_polys]
-    if max(r_max - e, 0) * (r_max * E.prime.bit_length() + sum(d**3 for d in degrees)) > MAX_GROWTH_WORK:
+    if (r_max - e) * (r_max * E.prime.bit_length() + sum(d**3 for d in degrees)) > MAX_GROWTH_WORK:
         raise ValueError(f"growth from e = {e} to rmax = {r_max} at p = {E.prime} with factor degrees "
                          f"{degrees} exceeds the work bound (rmax - e)(rmax log2(p) + sum deg^3) "
                          f"<= {MAX_GROWTH_WORK:.0e}")

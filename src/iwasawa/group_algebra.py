@@ -481,11 +481,11 @@ def interp_check(
     absolute precision and agrees with it modulo p^r.
 
     Cost per call: the table is built once per (chi, r, prec) and each of
-    its p - 1 branches once, on first read; after that a call is one Horner
-    pass over the p^(r-1) branch coefficients mod p^(prec+r) plus the
-    L-value side (h_N in closed form and B_(n, chi psi)).  `_mu_cache` is
-    accepted and ignored: the table cache is internal and keyed by the whole
-    character.
+    its p - 1 branches once, on first read; the rhs, which does not depend
+    on r, once per (chi, j, n, prec) (`_interp_rhs`).  After that a call is
+    one Horner pass over the p^(r-1) branch coefficients mod p^(prec+r).
+    `_mu_cache` is accepted and ignored: both caches are internal and keyed
+    by the whole character.
     """
     p = chi.prime
     if n < 1:
@@ -496,23 +496,32 @@ def interp_check(
     if prec is None:
         prec = r + 6
     N = chi.modulus
-    spec = PadicCharSpec((1 - n - j) % (p - 1), 1 - n)
+    exponents = tuple(sorted(chi.exponents.items()))
     pK = p ** (prec + r)
-    table = _hmu_rows(p, N, tuple(sorted(chi.exponents.items())), r, prec)
+    table = _hmu_rows(p, N, exponents, r, prec)
     x, acc = pow(1 + p, 1 - n, pK), 0
-    for c in reversed(table.branch(spec.teich_exponent)):
+    for c in reversed(table.branch((1 - n - j) % (p - 1))):
         acc = (acc * x + c) % pK
     lhs = from_rational_abs(Fraction(acc, p**r), p, prec)
-    hval = h_char_value(N, p, spec, prec)
+    rhs, conductor = _interp_rhs(p, N, exponents, j, n, prec)
+    val = vp_diff(lhs, rhs)
+    return InterpReport(p, conductor, chi.is_trivial(), j, n, r, lhs, rhs, val, r - 1, val >= r - 1)
+
+
+@lru_cache(maxsize=1024)
+def _interp_rhs(p: int, N: int, exponents: tuple, j: int, n: int, prec: int) -> tuple[PadicNumber, int]:
+    """(rhs, conductor of chi psi) of `interp_check`: h_N at omega^(1-n-j)
+    kappa^(1-n) in closed form times the Euler-corrected L(chi psi, 1-n),
+    psi = omega^j.  Keyed like `_hmu_rows` but by (j, n) where it has r: a
+    run over the levels computes each value once."""
+    chi = DirichletCharacter(N, p, dict(exponents))
+    hval = h_char_value(N, p, PadicCharSpec((1 - n - j) % (p - 1), 1 - n), prec)
     if hval.is_zero:
         raise ValueError("the regularizer h vanishes at this character (the p-adic zeta pole)")
     chipsi = chi.multiply(teichmuller_char(p, j)).primitivize()
     cp = chipsi(p, prec)
     euler = PadicNumber.one(p, prec) if cp.is_zero else 1 - cp * p ** (n - 1)
-    lval = L_neg(chipsi, n, prec)
-    rhs = hval * euler * lval
-    val = vp_diff(lhs, rhs)
-    return InterpReport(p, chipsi.modulus, chi.is_trivial(), j, n, r, lhs, rhs, val, r - 1, val >= r - 1)
+    return hval * euler * L_neg(chipsi, n, prec), chipsi.modulus
 
 
 @dataclass(frozen=True)
