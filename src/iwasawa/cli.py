@@ -191,6 +191,8 @@ def cmd_growth(args) -> int:
         raise ValueError(f"growth from e = {e} to rmax = {r_max} at p = {E.prime} with factor degrees "
                          f"{degrees} exceeds the work bound (rmax - e)(rmax log2(p) + sum deg^3) "
                          f"<= {MAX_GROWTH_WORK:.0e}")
+    if r_max - e < 3:
+        raise ValueError(f"nothing to fit: (mu, lambda, c) need three levels e < r <= rmax, got {r_max - e}")
     rep = lambda_modules.growth_sequence(E, e, r_max)
     rows = [[k, v] for k, v in rep.as_dict().items()]
     return _emit(args, {"rows": rows}, rep.passed, prime=E.prime)

@@ -17,10 +17,10 @@ are plain low-to-high int lists handled by the helper functions at the
 bottom.  Each operation has one kernel for the whole package: every product
 of two series or integer polynomials, inversion, division, substitution and
 the twist included, goes through `mul_trunc`; every change between the group
-element gamma = X and the series variable T = X - 1 through `taylor_shift`
-and its inverse; every binomial row C(x, 0..n-1) (omega_r, Dirac measures,
-the Coleman series) through `binomial_row`; every logarithm through
-`log_one_plus`.
+element gamma = X and the series variable T = X - 1, the twist X -> (1+p)/X
+among them, through `taylor_shift` and its inverse; every binomial row
+C(x, 0..n-1) (omega_r, Dirac measures, the twist's (1+T)^(1-M), the Coleman
+series) through `binomial_row`; every logarithm through `log_one_plus`.
 """
 
 from __future__ import annotations
@@ -162,18 +162,18 @@ class TruncatedSeries:
     # -- units and Weierstrass data ---------------------------------------
 
     def invert_unit(self) -> "TruncatedSeries":
-        """Inverse of a series whose constant term is a unit, by Newton
-        doubling g <- g (2 - f g) mod T^(2k)."""
+        """Inverse of a series whose constant term is a unit, by Newton doubling:
+        g exact mod T^k gives f g = 1 + T^k h mod T^(2k), and g - T^k (g h) is exact
+        mod T^(2k), so a step computes only h and the new half (Hanrot et al. 2004)."""
         p, M, mod = self.prime, self.trunc, self.prime**self.prec
         a0 = self.coeffs[0]
         if a0 % p == 0:
             raise ValueError("not a unit in Lambda: constant term is divisible by p")
         g = [pow(a0, -1, mod)]
         while len(g) < M:
-            k = min(2 * len(g), M)
-            e = [-c % mod for c in mul_trunc(self.coeffs, g, mod, k)]
-            e[0] = (e[0] + 2) % mod
-            g = mul_trunc(g, e, mod, k)
+            k = len(g)
+            h = mul_trunc(self.coeffs, g, mod, min(2 * k, M))[k:]
+            g += [-c % mod for c in mul_trunc(g, h, mod, len(h))]
         return TruncatedSeries(p, g, self.prec)
 
     def weierstrass_degree(self) -> int:
@@ -219,7 +219,8 @@ class TruncatedSeries:
         return TruncatedSeries(p, q, N), rem
 
     def weierstrass_prep(self) -> "DistinguishedFactorization":
-        """f = p^mu * unit * P with P distinguished, following the preparation theorem."""
+        """f = p^mu * unit * P with P distinguished, following the preparation theorem:
+        the unit inverts the quotient of T^nu by f1 = f/p^mu, so it is f1 when nu = 0."""
         p, M, N = self.prime, self.trunc, self.prec
         mu, _ = self.mu_lambda()
         if N - mu < 1:
@@ -227,6 +228,8 @@ class TruncatedSeries:
         n_eff = N - mu
         f1 = TruncatedSeries(p, [c // p**mu for c in self.coeffs], n_eff)
         nu = f1.weierstrass_degree()
+        if nu == 0:
+            return DistinguishedFactorization(mu, f1, [1], self)
         tpow = TruncatedSeries(p, [1 if i == nu else 0 for i in range(M)], n_eff)
         lam, r = tpow.divide(f1)
         dist = [(-c) % p**n_eff for c in r] + [1]
@@ -270,11 +273,14 @@ class TruncatedSeries:
     def nu_involution(self) -> "TruncatedSeries":
         """The twist T -> (1+p)(1+T)^(-1) - 1 induced by g -> kappa(g) g^(-1).
 
-        The target in closed form: p + (1+p) sum_(k>=1) (-T)^k.
+        In X = 1+T it is X -> (1+p)/X: f = F(X) of degree M-1 has F((1+p)/X) =
+        X^(1-M) G(X), G_j = F_(M-1-j) (1+p)^(M-1-j), so two Taylor shifts and one
+        product give the element of (Z/p^N)[T]/(T^M) that `substitute` would.
         """
-        p, M, N = self.prime, self.trunc, self.prec
-        target = [(1 + p) * (-1) ** k - (k == 0) for k in range(M)]
-        return self.substitute(TruncatedSeries(p, target, N))
+        p, M, mod = self.prime, self.trunc, self.prime**self.prec
+        G = [c * pow(1 + p, i, mod) for i, c in enumerate(inverse_taylor_shift(self.coeffs, mod))][::-1]
+        inv_power = [c % mod for c in binomial_row(1 - M, M)]
+        return TruncatedSeries(p, mul_trunc(taylor_shift(G, mod), inv_power, mod, M), self.prec)
 
     def deriv(self) -> "TruncatedSeries":
         """Formal derivative; truncation shrinks by one."""
@@ -534,7 +540,8 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def poly_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division with remainder by a monic integer polynomial."""
+    """Exact division with remainder by a monic integer polynomial, looping over the
+    divisor's nonzero lower coefficients (the leading one clears a slot never read)."""
     b = poly_trim(b)
     if not b or b[-1] != 1:
         raise ValueError("divisor must be monic")
@@ -545,12 +552,13 @@ def poly_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]
     if len(r) <= db:
         return [], r
     q = [0] * (len(r) - db)
+    low = [(i, c) for i, c in enumerate(b[:db]) if c]
     for d in range(len(r) - 1 - db, -1, -1):
         c = r[d + db]
         if c:
             q[d] = c
-            for i in range(db + 1):
-                r[d + i] -= c * b[i]
+            for i, bi in low:
+                r[d + i] -= c * bi
     return poly_trim(q), poly_trim(r[:db])
 
 

@@ -89,10 +89,11 @@ def test_nu_involution_needs_no_inversion(monkeypatch):
     f = TruncatedSeries(5, [1, 2, 3, 4], 3)
     expected = _object_horner(f, _inverse_target(5, 4, 3))
 
-    def refuse(self):
-        raise AssertionError("invert_unit called")
+    def refuse(self, *args):
+        raise AssertionError("invert_unit or substitute called")
 
     monkeypatch.setattr(TruncatedSeries, "invert_unit", refuse)
+    monkeypatch.setattr(TruncatedSeries, "substitute", refuse)  # X -> (1+p)/X is two Taylor shifts
     assert f.nu_involution() == expected
 
 

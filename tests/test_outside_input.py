@@ -76,6 +76,18 @@ def test_growth_with_an_empty_tower_is_refused_before_any_work(tmp_path, capsys,
     assert code == 2 and err.startswith("error: nothing to compute") and seconds < 1
 
 
+@pytest.mark.parametrize("e, rmax", [(0, 1), (0, 2), (4, 6)])
+def test_growth_tower_too_short_to_fit_is_refused_before_any_work(tmp_path, capsys, monkeypatch, e, rmax):
+    def refuse(*args):
+        raise AssertionError("a growth sequence was computed")
+
+    monkeypatch.setattr(lambda_modules, "growth_sequence", refuse)
+    module = tmp_path / "module.txt"
+    module.write_text("p 3\nppow 1\ndist 9 3 1\n")
+    code, seconds, err = _timed_main(["growth", str(module), "--e", str(e), "--rmax", str(rmax)], capsys)
+    assert code == 2 and err.startswith("error: nothing to fit") and seconds < 1
+
+
 def test_growth_to_level_30_is_prompt_and_an_infinite_quotient_exits_2(tmp_path, capsys):
     module = tmp_path / "module.txt"
     module.write_text("p 5\nppow 1\ndist 5 0 1\ndist 10 5 0 1\n")
