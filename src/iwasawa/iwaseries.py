@@ -6,7 +6,11 @@ operation documents how much of the (T^M, p^N) window survives:
 
   add/mul: window unchanged;
   deriv / D: T-window shrinks by 1;
-  divide by f of Weierstrass degree nu: quotient window T^(M-nu);
+  divide by f of Weierstrass degree nu, W = M - nu: quotient coefficient j
+    reliable mod p^min(N, (W-j-1)//nu + 1), the remainder mod
+    p^min(N, (W-1)//nu) (the discarded tails change the Toeplitz system of
+    `divide` only in its last nu rows, by multiples of p, and each power of p
+    carries that change at most nu rows up);
   substitute(f, g) with v(g(0)) >= 1: coefficient j is reliable mod
     p^min(N, M-j) (the discarded tail of f perturbs low coefficients by
     multiples of p^(M-j)).
@@ -194,11 +198,33 @@ class TruncatedSeries:
         """Division-lemma decomposition self = f*quotient + remainder.
 
         f must have Weierstrass degree nu with 2*nu <= M.  Returns the
-        quotient (truncation M - nu) and the remainder as a coefficient list
-        of length nu (integers mod p^N).  With f = A + T^nu B, A = f mod T^nu,
-        the quotient is the fixed point of q <- B^(-1) (t(self) - t(q A)), t
-        dropping the first nu coefficients; each round multiplies the error
-        by A, so ceil(N / v_p(A)) rounds from q = 0 are exact (one if A = 0).
+        quotient q (truncation n = M - nu) and the remainder as a coefficient
+        list of length nu (integers mod p^N).  q is the unique solution mod p^N
+        of the Toeplitz system (f q)[nu:M] = self[nu:M], whose matrix T_n(a),
+        a_k = f_(nu+k), is lower triangular with unit diagonal mod p; the
+        remainder is self[:nu] - (f q)[:nu].  The module docstring says which
+        digits of them the (M, N) window decides.
+
+        The system is solved exactly in three steps:
+        1. f = U P over Z/p^N, P monic of degree nu and = T^nu mod p, U of
+           length n (`_distinguished_factor`, O(M nu log N) steps).
+        2. T_n(a) = T_n(U) T_n(P/T^nu) + C.  T_n(U) is lower triangular, its
+           inverse the product by U^(-1) mod T^n.  T_n(P/T^nu) is upper
+           triangular with nu bands and unit diagonal, inverted by
+           back-substitution.  C holds the terms of U P that the product of
+           the two drops; it fills only the first nu columns, and
+           T_n(U)^(-1) C = -[u_1 ... u_nu] Theta with u_d = U^(-1)[d:d+n] and
+           Theta_(d,m) = H_(nu-m-d), H = U P mod T^nu.
+        3. So T_n(P/T^nu) q = U^(-1) self[nu:] + [u_1 ... u_nu] Theta x, with
+           x = q[:nu].  Its first nu rows are (I - Rho Theta) x = first nu
+           entries of T_n(P/T^nu)^(-1) U^(-1) self[nu:], Rho the first nu rows
+           of T_n(P/T^nu)^(-1) [u_1 ... u_nu].  C = 0 mod p, so the nu x nu
+           matrix is = I mod p and has unit pivots; one back-substitution
+           then gives q.
+        Nothing is approximated, so q and the remainder are the same residues
+        any exact solver gives.  Cost: one `invert_unit` (of U), one full and
+        one short product, O(M nu log N + n nu) scalar steps and the
+        O(nu^3) solve.
         """
         self._shape_check(f)
         p, M, N = self.prime, self.trunc, self.prec
@@ -207,20 +233,40 @@ class TruncatedSeries:
             raise IndeterminateWithinTruncation(
                 f"need 2*nu <= M to determine the remainder (nu={nu}, M={M})"
             )
-        mod = p**N
-        A, g = f.coeffs[:nu], self.coeffs
-        b_inv = TruncatedSeries(p, f.coeffs[nu:], N).invert_unit().coeffs
-        v = min((int_vp(c, p) for c in A if c), default=N)
-        q = []  # the zero polynomial, to mul_trunc
-        for _ in range(-(-N // v)):
-            qa = mul_trunc(q, A, mod, M)
-            q = mul_trunc(b_inv, [(a - b) % mod for a, b in zip(g[nu:], qa[nu:])], mod, M - nu)
-        rem = [(a - b) % mod for a, b in zip(g, mul_trunc(q, A, mod, nu))]
+        mod, n = p**N, M - nu
+        P, U = _distinguished_factor(f.coeffs, nu, p, N)
+        u_inv = TruncatedSeries(p, U + [0] * nu, N).invert_unit().coeffs
+        v = mul_trunc(u_inv, self.coeffs[nu:], mod, n)
+        if nu:
+            # r_l = (T_n(P/T^nu)^(-1))_(i, i+l): its last column, by one back-substitution
+            r = _band_solve(P, [0] * (n - 1) + [1], mod)[::-1]
+            # Rho[i][d-1] = sum_(j >= i) r_(j-i) u_inv[j+d]; moving to (i+1, d-1) drops one term
+            rho = [[0] * nu for _ in range(nu)]
+            for i in reversed(range(nu)):
+                for d in range(1, nu + 1):
+                    if d == 1 or i == nu - 1:
+                        rho[i][d - 1] = sum(map(operator.mul, r[: n - i], u_inv[i + d :])) % mod
+                    else:
+                        rho[i][d - 1] = (rho[i + 1][d - 2] + r[n - 1 - i] * u_inv[n - 1 + d]) % mod
+            H = mul_trunc(U, P[:nu], mod, nu)
+            # row i of Rho Theta is row i of Rho times H, read backwards
+            S = [[(int(i == m) - c) % mod for m, c in enumerate(mul_trunc(row, H, mod, nu)[::-1])]
+                 for i, row in enumerate(rho)]
+            x = _solve_unit_pivots(S, [sum(map(operator.mul, r[: n - i], v[i:])) % mod for i in range(nu)], mod)
+            # [u_1 ... u_nu] Theta x = (U^(-1) (H x mod T^nu))[nu:M]
+            v = [(a + b) % mod for a, b in zip(v, mul_trunc(u_inv, mul_trunc(H, x, mod, nu), mod, M)[nu:])]
+        q = _band_solve(P, v, mod)
+        rem = [(a - b) % mod for a, b in zip(self.coeffs, mul_trunc(q, f.coeffs[:nu], mod, nu))]
         return TruncatedSeries(p, q, N), rem
 
     def weierstrass_prep(self) -> "DistinguishedFactorization":
         """f = p^mu * unit * P with P distinguished, following the preparation theorem:
-        the unit inverts the quotient of T^nu by f1 = f/p^mu, so it is f1 when nu = 0."""
+        the unit inverts the quotient of T^nu by f1 = f/p^mu, so it is f1 when nu = 0,
+        and P = T^nu - remainder.  Both come from one `divide`, so they are known on
+        its window, which `DistinguishedFactorization.p_precision` and `t_window`
+        report: the coefficients past T^M move P and the unit's later coefficients
+        by multiples of p^((M - nu - 1) // nu) and less.  (The factor P of the
+        polynomial f1 mod T^M that `divide` lifts agrees with this P on that window.)"""
         p, M, N = self.prime, self.trunc, self.prec
         mu, _ = self.mu_lambda()
         if N - mu < 1:
@@ -346,12 +392,21 @@ class DistinguishedFactorization:
 
     @property
     def p_precision(self) -> int:
-        """Factors are valid mod p^(this) before multiplying back by p^mu."""
-        return self._source.prec - self.mu
+        """The distinguished polynomial is known mod p^(this), before multiplying
+        back by p^mu: min(N - mu, (W - 1) // nu) with W = M - nu (the remainder
+        window of `divide`), at least 1 (it is T^nu mod p), and N - mu when nu = 0."""
+        n_eff, nu = self._source.prec - self.mu, self.weierstrass_degree
+        if nu == 0:
+            return n_eff
+        return max(1, min(n_eff, (self._source.trunc - nu - 1) // nu))
 
     @property
     def t_window(self) -> int:
-        return self._source.trunc - self.weierstrass_degree
+        """How many unit coefficients are known mod p^p_precision: coefficient j is
+        known mod p^min(N - mu, (W - j - 1) // nu + 1), the quotient window of
+        `divide`, as the unit inverts that quotient."""
+        nu = self.weierstrass_degree
+        return self._source.trunc - nu - nu * (self.p_precision - 1)
 
     def reconstruct(self) -> "TruncatedSeries":
         """p^mu * unit * P on the unit's (shorter) truncation window."""
@@ -539,27 +594,108 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
     return [c - m if 2 * c > m else c for c in out]
 
 
-def poly_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division with remainder by a monic integer polynomial, looping over the
+def poly_divmod_monic(a: list[int], b: list[int], mod: int | None = None) -> tuple[list[int], list[int]]:
+    """Division with remainder by a monic polynomial, exact over the integers or,
+    given `mod`, over Z/mod with residues in [0, mod); the loop runs over the
     divisor's nonzero lower coefficients (the leading one clears a slot never read)."""
     b = poly_trim(b)
     if not b or b[-1] != 1:
         raise ValueError("divisor must be monic")
-    r = list(poly_trim(a))
+    r = poly_trim(a)
     db = len(b) - 1
     if db == 0:
-        return r, []
-    if len(r) <= db:
-        return [], r
-    q = [0] * (len(r) - db)
+        return (r if mod is None else poly_trim([c % mod for c in r])), []
+    q = [0] * max(len(r) - db, 0)
     low = [(i, c) for i, c in enumerate(b[:db]) if c]
-    for d in range(len(r) - 1 - db, -1, -1):
-        c = r[d + db]
+    for d in reversed(range(len(q))):
+        c = r[d + db] if mod is None else r[d + db] % mod
         if c:
             q[d] = c
             for i, bi in low:
                 r[d + i] -= c * bi
-    return poly_trim(q), poly_trim(r[:db])
+    r = r[:db] if mod is None else [c % mod for c in r[:db]]
+    return poly_trim(q), poly_trim(r)
+
+
+def _padded(a: list[int], n: int) -> list[int]:
+    return a + [0] * (n - len(a))
+
+
+def _distinguished_factor(f, nu: int, p: int, N: int) -> tuple[list[int], list[int]]:
+    """(P, U) with f = U P over Z/p^N, for coefficients f mod p^N of Weierstrass
+    degree nu: P monic of degree nu with P = T^nu mod p, and U of length len(f) - nu.
+
+    Hensel lifting from P = T^nu, doubling the p-adic precision each step.
+    With P right mod p^h, R = f mod P = 0 mod p^h, and W = (f quo P)^(-1)
+    mod (P, p^(k-h)), P + (R W mod P) divides f mod p^k for k <= 2h.  W is
+    carried along by a Newton step W (2 - a W), a = (f quo P) mod P, when it
+    has fewer digits than that; a last step that does not double often needs
+    none.  A step to p^k reads f only mod T^(nu k): T^nu = -P[:nu] mod P is
+    = 0 mod p, so T^(nu k) = 0 mod (P, p^k) and T^(nu k) = 0 mod (P^2, p^(k-1)).
+    """
+    if nu == 0:
+        return [1], list(f)
+    P, W, w, k = [0] * nu + [1], None, 0, 1
+    while k < N:
+        h, k = k, min(2 * k, N)
+        mod = p**k
+        quo, R = poly_divmod_monic(f[: nu * k], P, mod)
+        if w < k - h:
+            w, mod_w = k - h, p ** (k - h)
+            a = _padded(poly_divmod_monic(quo, P, mod_w)[1], nu)
+            if W is None:  # P = T^nu: the inverse mod T^nu
+                W = TruncatedSeries(p, a, w).invert_unit().coeffs
+            else:
+                e = _mul_mod_monic(a, W, P, mod_w)
+                W = _mul_mod_monic(W, [(2 * (i == 0) - c) % mod_w for i, c in enumerate(e)], P, mod_w)
+        delta = _mul_mod_monic(_padded(R, nu), W, P, mod)
+        P = [(c + d) % mod for c, d in zip(P, delta)] + [1]
+    U, R = poly_divmod_monic(f, P, p**N)
+    if R:
+        raise AssertionError("Hensel lifting left a remainder")
+    return P, _padded(U, len(f) - nu)
+
+
+def _mul_mod_monic(a: list[int], b: list[int], P: list[int], mod: int) -> list[int]:
+    """a b mod (P, mod) as nu = deg P coefficients, for a, b of length nu in [0, mod)."""
+    nu = len(P) - 1
+    return _padded(poly_divmod_monic(mul_trunc(a, b, mod, 2 * nu - 1), P, mod)[1], nu)
+
+
+def _band_solve(P: list[int], v: list[int], mod: int) -> list[int]:
+    """x with sum_k P_(nu-k) x_(j+k) = v_j for every j < len(v), x_j = 0 past the
+    end: T_n(P/T^nu)^(-1) v for monic P of degree nu and v in [0, mod), by
+    back-substitution."""
+    nu = len(P) - 1
+    bands = [(k, P[nu - k]) for k in range(1, nu + 1) if P[nu - k]]
+    if not bands:
+        return list(v)
+    x = list(v) + [0] * nu
+    for j in reversed(range(len(v))):
+        s = x[j]
+        for k, c in bands:
+            s -= c * x[j + k]
+        x[j] = s % mod
+    return x[: len(v)]
+
+
+def _solve_unit_pivots(S: list[list[int]], b: list[int], mod: int) -> list[int]:
+    """x with S x = b mod `mod`, by Gaussian elimination without row exchanges:
+    for S whose pivots are units, as when S = I mod p."""
+    n = len(b)
+    rows = [row + [c] for row, c in zip(S, b)]
+    invs = []
+    for i, piv in enumerate(rows):
+        invs.append(pow(piv[i], -1, mod))
+        for row in rows[i + 1 :]:
+            c = row[i] * invs[i] % mod
+            if c:
+                row[i + 1 :] = [(x - c * y) % mod for x, y in zip(row[i + 1 :], piv[i + 1 :])]
+    x = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        x[i] = (row[n] - sum(map(operator.mul, row[i + 1 : n], x[i + 1 :]))) * invs[i] % mod
+    return x
 
 
 def floor_log(p: int, n: int) -> int:

@@ -203,3 +203,22 @@ def test_level_work_bound_counts_distinct_branches_and_horner_passes(monkeypatch
                  ["interp", "-p", "5", "--rmin", "8", "--rmax", "8", "--nmax", "12"]):
         with pytest.raises(Accepted):
             main(argv)
+
+
+@pytest.mark.parametrize("command", ["irregular", "eigenspace"])
+def test_irregular_prime_bound_refuses_before_any_work(capsys, monkeypatch, command):
+    from iwasawa import exactq
+    from iwasawa.cli import MAX_IRREGULAR_PRIME
+
+    class Accepted(Exception):
+        pass
+
+    def accept(p):
+        raise Accepted
+
+    monkeypatch.setattr(exactq, "irregular_indices", accept)
+    for p in (10007, 2053):
+        code, seconds, err = _timed_main([command, "-p", str(p)], capsys)
+        assert code == 2 and err.startswith("error:") and "work bound" in err and seconds < 1
+    with pytest.raises(Accepted):
+        main([command, "-p", str(MAX_IRREGULAR_PRIME)])
